@@ -29,6 +29,7 @@
 #include "cluster/fc_multilevel.hpp"
 #include "cluster/graph.hpp"
 #include "common.hpp"
+#include "exec/exec.hpp"
 #include "hier/dendrogram.hpp"
 #include "place/floorplan.hpp"
 #include "place/global_placer.hpp"
@@ -208,6 +209,19 @@ void BM_HierarchyClustering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HierarchyClustering)->Unit(benchmark::kMillisecond);
+
+/// One empty 4-chunk pool region: the fixed cost every parallel_for pays
+/// (publish, wake, claim, join) before any work, at PPACD_THREADS lanes.
+void BM_ExecRegion(benchmark::State& state) {
+  AllocCounters allocs(state);
+  for (auto _ : state) {
+    exec::parallel_for_chunks(0, 4, 1,
+                              [](std::size_t, std::size_t, std::size_t c) {
+                                benchmark::DoNotOptimize(c);
+                              });
+  }
+}
+BENCHMARK(BM_ExecRegion)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // --json reporting

@@ -17,11 +17,20 @@
 /// flow results; tests/determinism_test.cpp enforces it end to end.
 ///
 /// Pool model: one process-wide lazily-created pool of `thread_count() - 1`
-/// worker threads; the calling thread participates as lane 0. Each lane owns
-/// a chunk deque (filled round-robin); idle lanes steal from the back of
-/// other lanes' deques (`exec.steal.count`). A `parallel_for` issued from
-/// inside a worker (nested parallelism) runs its chunks inline, in order, on
-/// that worker — no new tasks, no deadlock, same chunk structure.
+/// worker threads; the calling thread participates as lane 0. Issuing a
+/// region allocates nothing and takes no lock: its descriptor lives on the
+/// caller's stack, and with L lanes, lane l claims chunks l, l+L, l+2L, ...
+/// from its own cache-line-padded atomic counter (its stripe), so the same
+/// chunk index lands on the same lane region after region and per-chunk
+/// scratch stays in that core's cache. A lane whose stripe is exhausted
+/// claims from the other lanes' stripes; `exec.steal.count` counts those
+/// chunks. Idle workers spin briefly on the region epoch, then park on
+/// std::atomic::wait until the next region's notify. The caller drains as
+/// lane 0 and returns only once no worker can still read its descriptor.
+/// A `parallel_for` issued from inside a chunk (nested parallelism) runs
+/// its chunks inline, in order — no new tasks, no deadlock, same chunk
+/// structure; so does a region issued while another thread's region holds
+/// the pool.
 ///
 /// Sizing: `PPACD_THREADS` environment variable, else
 /// std::thread::hardware_concurrency(); `set_thread_count()` (e.g. from a
@@ -43,8 +52,9 @@ inline constexpr std::size_t kSerialGrain = static_cast<std::size_t>(-1);
 int thread_count();
 
 /// Reconfigures the pool to `count` lanes (clamped to >= 1), joining the old
-/// workers first. Must not be called from inside a parallel region or while
-/// one is running on another thread.
+/// workers first. Must not be called from inside a parallel region, nor while
+/// another thread issues regions (callers size per-lane scratch by
+/// worker_slots()).
 void set_thread_count(int count);
 
 /// Number of scratch slots a parallel region may index with

@@ -21,35 +21,18 @@ namespace {
 // Fixed grains for the parallel numeric kernels. Chunk boundaries (and thus
 // floating-point combination order) depend only on these constants and the
 // problem size, never on the thread count — see src/exec/exec.hpp.
-constexpr std::size_t kVecGrain = 4096;   ///< elementwise / dot chunks
-constexpr std::size_t kRowGrain = 2048;   ///< mat-vec rows per chunk
+constexpr std::size_t kVecGrain = 4096;   ///< CG chunks (rows, elements, dots)
 constexpr std::size_t kNetGrain = 256;    ///< nets per assembly chunk
 constexpr std::size_t kObjGrain = 2048;   ///< objects per density chunk
 /// Density scratch cap: at most this many per-chunk bin arrays are alive.
 constexpr std::size_t kMaxAreaChunks = 16;
 
-/// Deterministic chunked dot product (ordered reduction). Each chunk reduces
-/// with the fixed 4-lane kernel from util/simd.hpp and the per-chunk partials
-/// fold in ascending chunk order, so the value depends only on (range,
-/// kVecGrain) — never on the thread count or the PPACD_SIMD setting. The
-/// switch from a single sequential accumulator to the lane-ordered kernel
-/// changed low-order result bits once; the placement goldens were re-pinned
-/// with that rationale (DESIGN.md §15).
-double dot(std::span<const double> a, std::span<const double> b) {
-  return exec::parallel_reduce(
-      0, a.size(), kVecGrain, 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        return util::simd::dot(a.data() + lo, b.data() + lo, hi - lo);
-      },
-      [](double x, double y) { return x + y; });
-}
-
 }  // namespace
 
 /// Sparse symmetric system assembled per direction: diagonal + off-diagonal
 /// triplets over dense movable indices, with right-hand side. finalize()
-/// builds a CSR row adjacency so multiply() can run row-parallel: each row
-/// gathers its neighbours in a fixed per-row order, so the result does not
+/// builds a CSR row adjacency so multiply_rows() can run row-parallel: each
+/// row gathers its neighbours in a fixed per-row order, so the result does not
 /// depend on the thread count. reset() keeps every buffer's capacity, so one
 /// instance reused across iterations assembles without allocating.
 struct QuadSystem {
@@ -107,27 +90,21 @@ struct QuadSystem {
     }
   }
 
-  void multiply(std::span<const double> x, std::span<double> out) const {
-    // Chunked row loop with non-aliased raw pointers: the CSR arrays, the
-    // input and the output never overlap, and telling the compiler so keeps
-    // the gather loop free of reload stalls. Per-row accumulation order is
-    // unchanged (diagonal first, then neighbours in CSR order).
+  /// out[i] = (A x)[i] for rows [lo, hi). Rows are independent, so any
+  /// row range gives the same bits; per-row accumulation order is fixed
+  /// (diagonal first, then neighbours in CSR order). Non-aliased raw
+  /// pointers keep the gather loop free of reload stalls.
+  void multiply_rows(const double* PPACD_RESTRICT xv, double* PPACD_RESTRICT ov,
+                     std::size_t lo, std::size_t hi) const {
     const double* PPACD_RESTRICT dg = diag.data();
     const double* PPACD_RESTRICT wt = weight.data();
     const std::int32_t* PPACD_RESTRICT rp = row_ptr.data();
     const std::int32_t* PPACD_RESTRICT cl = col.data();
-    const double* PPACD_RESTRICT xv = x.data();
-    double* PPACD_RESTRICT ov = out.data();
-    exec::parallel_for_chunks(
-        0, diag.size(), kRowGrain,
-        [=](std::size_t rb, std::size_t re, std::size_t) {
-          for (std::size_t i = rb; i < re; ++i) {
-            const std::size_t lo = static_cast<std::size_t>(rp[i]);
-            const std::size_t hi = static_cast<std::size_t>(rp[i + 1]);
-            ov[i] = util::simd::csr_row(dg[i] * xv[i], wt + lo, cl + lo, xv,
-                                        hi - lo);
-          }
-        });
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::size_t b = static_cast<std::size_t>(rp[i]);
+      const std::size_t e = static_cast<std::size_t>(rp[i + 1]);
+      ov[i] = util::simd::csr_row(dg[i] * xv[i], wt + b, cl + b, xv, e - b);
+    }
   }
 };
 
@@ -174,10 +151,16 @@ struct PlacerScratch {
 
 namespace {
 
-/// Jacobi-preconditioned conjugate gradient; solves A x = b in place. The
-/// mat-vec is row-parallel and every dot product reduces in fixed chunk
-/// order, so the iterate sequence is bit-identical for any thread count.
-/// The four work vectors live in `arena`, reset (capacity kept) per call.
+/// Jacobi-preconditioned conjugate gradient; solves A x = b in place. Every
+/// pool region walks the same kVecGrain chunks, and each iteration needs
+/// three of them (DESIGN.md §10):
+///   1. mat-vec ap = A p over the chunk's rows, then the chunk's p·ap;
+///   2. x/r update, Jacobi z = r / diag, then the chunk's r·z and r·r;
+///   3. p = z + beta p.
+/// Per-chunk partials come from util::simd::dot and fold in ascending chunk
+/// order, as exec::parallel_reduce folds, so the iterate sequence is
+/// bit-identical for any thread count. The work vectors and the partials
+/// live in `arena`, reset (capacity kept) per call.
 /// When `obs_series >= 0`, sampled relative residuals stream to the flight
 /// recorder as kPlaceCg (series obs_series, index obs_index, sub cg_iter);
 /// a final sub == -1 sample carries {iters_run, final_residual}.
@@ -191,51 +174,66 @@ void solve_cg(const QuadSystem& system, std::vector<double>& x, int max_iters,
   const std::span<double> z = arena.alloc<double>(n);
   const std::span<double> p = arena.alloc<double>(n);
   const std::span<double> ap = arena.alloc<double>(n);
+  const std::size_t chunks = exec::detail::chunk_count_for(n, kVecGrain);
+  const std::span<double> part_a = arena.alloc<double>(chunks);
+  const std::span<double> part_b = arena.alloc<double>(chunks);
+  const std::span<double> part_c = arena.alloc<double>(chunks);
+  const double* const rhs = system.rhs.data();
+  const double* const diag = system.diag.data();
 
-  system.multiply(x, ap);
-  exec::parallel_for(0, n, kVecGrain,
-                     [&](std::size_t i) { r[i] = system.rhs[i] - ap[i]; });
-  double b_norm = std::sqrt(dot(system.rhs, system.rhs));
-  if (b_norm == 0.0) b_norm = 1.0;
-
-  // Elementwise kernels run per contiguous chunk through util/simd.hpp:
-  // each element's result is independent, so vector lanes cannot change a
-  // bit regardless of thread count or the PPACD_SIMD setting.
-  auto precond = [&system](std::span<const double> in, std::span<double> out) {
-    exec::parallel_for_chunks(
-        0, in.size(), kVecGrain,
-        [&](std::size_t lo, std::size_t hi, std::size_t) {
-          util::simd::jacobi(out.data() + lo, in.data() + lo,
-                             system.diag.data() + lo, hi - lo);
-        });
+  auto for_chunks = [n](const auto& body) {
+    exec::parallel_for_chunks(0, n, kVecGrain, body);
+  };
+  auto fold = [chunks](std::span<const double> part) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < chunks; ++c) sum += part[c];
+    return sum;
   };
 
-  precond(r, z);
-  std::copy(z.begin(), z.end(), p.begin());
-  double rz = dot(r, z);
+  // Setup region: r = b - A x, z = M^-1 r, p = z, with the b·b, r·z and r·r
+  // partials. Elementwise kernels run per contiguous chunk through
+  // util/simd.hpp: each element's result is independent, so vector lanes
+  // cannot change a bit regardless of thread count or the PPACD_SIMD setting.
+  for_chunks([&](std::size_t lo, std::size_t hi, std::size_t c) {
+    system.multiply_rows(x.data(), ap.data(), lo, hi);
+    for (std::size_t i = lo; i < hi; ++i) r[i] = rhs[i] - ap[i];
+    util::simd::jacobi(z.data() + lo, r.data() + lo, diag + lo, hi - lo);
+    std::copy_n(z.data() + lo, hi - lo, p.data() + lo);
+    part_a[c] = util::simd::dot(rhs + lo, rhs + lo, hi - lo);
+    part_b[c] = util::simd::dot(r.data() + lo, z.data() + lo, hi - lo);
+    part_c[c] = util::simd::dot(r.data() + lo, r.data() + lo, hi - lo);
+  });
+  double b_norm = std::sqrt(fold(part_a));
+  if (b_norm == 0.0) b_norm = 1.0;
+  double rz = fold(part_b);
+  double rr = fold(part_c);
 
-  // One CG step: direction update, solution/residual axpy, re-precondition.
-  // Returns false on the defensive SPD bail-out. Shared by both loops below
-  // so the instrumented variant can't drift from the pristine one.
+  // One CG step, regions 1-3 above. Returns false on the defensive SPD
+  // bail-out. Shared by both loops below so the instrumented variant can't
+  // drift from the pristine one.
   auto step = [&]() -> bool {
-    system.multiply(p, ap);
-    const double p_ap = dot(p, ap);
+    for_chunks([&](std::size_t lo, std::size_t hi, std::size_t c) {
+      system.multiply_rows(p.data(), ap.data(), lo, hi);
+      part_a[c] = util::simd::dot(p.data() + lo, ap.data() + lo, hi - lo);
+    });
+    const double p_ap = fold(part_a);
     if (p_ap <= 0.0) return false;  // matrix should be SPD; bail out
     const double alpha = rz / p_ap;
-    exec::parallel_for_chunks(
-        0, n, kVecGrain, [&](std::size_t lo, std::size_t hi, std::size_t) {
-          // lint:allow(parallel-float-accum): element i touched once
-          util::simd::cg_update(x.data() + lo, r.data() + lo, p.data() + lo,
-                                ap.data() + lo, alpha, hi - lo);
-        });
-    precond(r, z);
-    const double rz_new = dot(r, z);
+    for_chunks([&](std::size_t lo, std::size_t hi, std::size_t c) {
+      // lint:allow(parallel-float-accum): element i touched once
+      util::simd::cg_update(x.data() + lo, r.data() + lo, p.data() + lo,
+                            ap.data() + lo, alpha, hi - lo);
+      util::simd::jacobi(z.data() + lo, r.data() + lo, diag + lo, hi - lo);
+      part_b[c] = util::simd::dot(r.data() + lo, z.data() + lo, hi - lo);
+      part_c[c] = util::simd::dot(r.data() + lo, r.data() + lo, hi - lo);
+    });
+    const double rz_new = fold(part_b);
     const double beta = rz_new / rz;
     rz = rz_new;
-    exec::parallel_for_chunks(
-        0, n, kVecGrain, [&](std::size_t lo, std::size_t hi, std::size_t) {
-          util::simd::xpby(p.data() + lo, z.data() + lo, beta, hi - lo);
-        });
+    rr = fold(part_c);
+    for_chunks([&](std::size_t lo, std::size_t hi, std::size_t) {
+      util::simd::xpby(p.data() + lo, z.data() + lo, beta, hi - lo);
+    });
     return true;
   };
 
@@ -244,7 +242,7 @@ void solve_cg(const QuadSystem& system, std::vector<double>& x, int max_iters,
     // Pristine hot loop: no extra live state, no calls into the recorder —
     // codegen matches the uninstrumented solver.
     for (int iter = 0; iter < max_iters; ++iter) {
-      if (std::sqrt(dot(r, r)) / b_norm < tolerance) break;
+      if (std::sqrt(rr) / b_norm < tolerance) break;
       if (!step()) break;
     }
     return;
@@ -258,7 +256,7 @@ void solve_cg(const QuadSystem& system, std::vector<double>& x, int max_iters,
   int logged = 0;
   int iters_run = 0;
   for (int iter = 0; iter < max_iters; ++iter) {
-    const double residual = std::sqrt(dot(r, r)) / b_norm;
+    const double residual = std::sqrt(rr) / b_norm;
     resid_log[static_cast<std::size_t>(logged++)] = residual;
     if (residual < tolerance) break;
     iters_run = iter + 1;

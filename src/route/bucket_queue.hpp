@@ -44,6 +44,10 @@ class BucketQueue {
   /// width). Callers must not push d2 < d1 + kMinEdgeCost from a popped d1.
   static constexpr double kMinEdgeCost = 1.0;
 
+  /// Largest ring span grow() accepts. Router edge costs (1 + history +
+  /// penalty x overflow) stay orders of magnitude below it.
+  static constexpr std::uint64_t kMaxSpan = std::uint64_t{1} << 20;
+
   /// Start a new search (distances from 0). O(buckets touched last time).
   void begin() {
     for (const std::uint64_t b : touched_) ring_[b & mask_].clear();
@@ -106,6 +110,11 @@ class BucketQueue {
   }
 
   void grow(std::uint64_t span) {
+    // A real span is about the largest edge cost. A huge one is a wrapped
+    // `b - cur_` from a push behind the draining bucket, and doubling
+    // towards it would never terminate.
+    PPACD_CHECK(span <= kMaxSpan, "bucket span " << span << " at " << cur_);
+    if (span > kMaxSpan) return;
     std::size_t size = ring_.empty() ? 64 : ring_.size();
     while (size < span) size <<= 1;
     if (size == ring_.size()) return;
@@ -113,6 +122,10 @@ class BucketQueue {
     const std::size_t next_mask = size - 1;
     if (!ring_.empty()) {
       for (const std::uint64_t b : touched_) {
+        // A retired bucket's slot may already hold a live bucket
+        // b + ring_.size(); moving it under b's index would strand those
+        // entries behind cur_.
+        if (b < cur_) continue;
         std::vector<Entry>& old = ring_[b & mask_];
         if (!old.empty()) next[b & next_mask] = std::move(old);
       }

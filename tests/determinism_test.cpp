@@ -168,12 +168,18 @@ TEST_F(DeterminismTest, DefaultFlowSecondDesignBitIdentical1v8) {
 TEST_F(DeterminismTest, ShardedFlowBitIdentical1v8) {
   // The sharded flow's per-shard solves run under exec::parallel_for, so this
   // is the direct test of the sharding determinism contract: extraction,
-  // shard solves, merge, and stitch must not depend on thread count.
+  // shard solves, merge, and stitch must not depend on thread count. Each
+  // lane count claims chunks in its own order (lane l owns chunks l, l+L,
+  // ... and steals the rest), so 2, 3 and 4 lanes are checked as well as 8.
   const FlowSnapshot serial = run_at(1, "aes", 600, /*clustered=*/true,
                                      /*enable_vpr=*/true, /*shards=*/4);
-  const FlowSnapshot parallel = run_at(8, "aes", 600, /*clustered=*/true,
-                                       /*enable_vpr=*/true, /*shards=*/4);
-  expect_identical(serial, parallel);
+  for (const int threads : {2, 3, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const FlowSnapshot parallel = run_at(threads, "aes", 600,
+                                         /*clustered=*/true,
+                                         /*enable_vpr=*/true, /*shards=*/4);
+    expect_identical(serial, parallel);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -355,8 +361,10 @@ std::uint64_t bits(double v) {
 }
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  // Empty vectors may hold null data(), which memcmp must not receive.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Lengths covering the empty case, pure scalar tails, exact lane multiples,
@@ -503,6 +511,31 @@ TEST(BucketQueueTest, PopOrderMatchesBinaryHeapOnMonotoneWorkload) {
     EXPECT_EQ(bits(bq_order[i].first), bits(heap_order[i].first)) << "pop " << i;
     EXPECT_EQ(bq_order[i].second, heap_order[i].second) << "pop " << i;
   }
+}
+
+// A live bucket that wraps onto a retired bucket's ring slot must survive a
+// later ring growth. Bucket 0 retires, bucket 64 then shares its slot in the
+// initial 64-bucket ring, and a push at distance 100 doubles the ring. The
+// move must file bucket 64's entry under 64, not under the retired 0 — or it
+// pops after bucket 100, once cur_ wraps round to the stale slot.
+TEST(BucketQueueTest, WrapThenGrowKeepsPopOrder) {
+  using Entry = route::BucketQueue::Entry;
+  route::BucketQueue bq;
+  bq.begin();
+  std::vector<Entry> popped;
+  Entry e;
+  bq.push(0.5, 0);
+  ASSERT_TRUE(bq.pop(e));
+  popped.push_back(e);
+  bq.push(1.5, 1);
+  ASSERT_TRUE(bq.pop(e));  // retires bucket 0; bucket 1 drains
+  popped.push_back(e);
+  bq.push(64.5, 2);   // bucket 64: same slot as the retired bucket 0
+  bq.push(100.5, 3);  // span 100 > 64: grows the ring to 128
+  while (bq.pop(e)) popped.push_back(e);
+  const std::vector<Entry> expected = {
+      {0.5, 0}, {1.5, 1}, {64.5, 2}, {100.5, 3}};
+  EXPECT_EQ(popped, expected);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 /// \file exec_test.cpp
 /// \brief Unit tests for the deterministic parallel execution layer: chunk
-/// structure, ordered reduction, nested regions, exception propagation, and
-/// pool reconfiguration.
+/// structure, ordered reduction, nested regions, exception propagation,
+/// pool reconfiguration, and the region protocol under churn (back-to-back
+/// small regions, reconfiguration racing worker start-up, concurrent
+/// issuing threads).
 #include "exec/exec.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace ppacd::exec {
@@ -111,19 +114,26 @@ TEST_F(ExecTest, NestedParallelForDoesNotDeadlockAndCoversRange) {
 }
 
 TEST_F(ExecTest, ExceptionPropagatesToCaller) {
-  set_thread_count(4);
-  EXPECT_THROW(
-      parallel_for(0, 1'000, 8,
-                   [&](std::size_t i) {
-                     if (i == 613) throw std::runtime_error("chunk failure");
-                   }),
-      std::runtime_error);
-  // The pool must be reusable after a failed region.
-  std::atomic<std::size_t> visited{0};
-  parallel_for(0, 100, 8, [&](std::size_t) {
-    visited.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(visited.load(), 100u);
+  // Every failing chunk position at every lane count; the pool must be
+  // reusable after each failed region.
+  for (const int lanes : {1, 2, 3, 4, 8}) {
+    set_thread_count(lanes);
+    for (std::size_t failing = 0; failing < 8; ++failing) {
+      EXPECT_THROW(parallel_for(0, 8, 1,
+                                [&](std::size_t i) {
+                                  if (i == failing) {
+                                    throw std::runtime_error("chunk failure");
+                                  }
+                                }),
+                   std::runtime_error)
+          << "lanes " << lanes << " failing chunk " << failing;
+      std::atomic<std::size_t> visited{0};
+      parallel_for(0, 100, 8, [&](std::size_t) {
+        visited.fetch_add(1, std::memory_order_relaxed);
+      });
+      EXPECT_EQ(visited.load(), 100u) << "lanes " << lanes;
+    }
+  }
 }
 
 TEST_F(ExecTest, SetThreadCountReconfigures) {
@@ -151,6 +161,90 @@ TEST_F(ExecTest, WorkerSlotIsInRangeDuringRegion) {
   });
   EXPECT_FALSE(out_of_range.load());
   EXPECT_EQ(this_worker_slot(), 0u);  // calling thread outside a region
+}
+
+/// Order-sensitive reduction over `chunks` chunks of 16 items: terms spread
+/// over many magnitudes, so any change of fold order changes the bits.
+double ordered_sum(std::size_t chunks) {
+  return parallel_reduce(
+      std::size_t{0}, chunks * 16, 16, 0.0,
+      [](std::size_t b, std::size_t e) {
+        double acc = 0.0;
+        for (std::size_t i = b; i < e; ++i) {
+          acc += std::ldexp(1.0 + static_cast<double>(i),
+                            -static_cast<int>(i % 53));
+        }
+        return acc;
+      },
+      [](double a, double b) { return a + b; });
+}
+
+TEST_F(ExecTest, SetThreadCountRightAfterFirstUse) {
+  // Reconfiguring joins workers that may not have started running yet; each
+  // must still observe the shutdown. Hangs (and fails on ctest's timeout)
+  // if a worker samples the pool epoch after the shutdown bumped it.
+  for (int round = 0; round < 200; ++round) {
+    set_thread_count(2 + round % 7);
+    if (round % 3 == 0) {
+      std::atomic<std::size_t> visited{0};
+      parallel_for(0, 64, 4, [&](std::size_t) {
+        visited.fetch_add(1, std::memory_order_relaxed);
+      });
+      ASSERT_EQ(visited.load(), 64u) << "round " << round;
+    }
+  }
+}
+
+TEST_F(ExecTest, BackToBackSmallRegionsAtEveryLaneCount) {
+  // The CG issues thousands of 2-8 chunk regions back to back; the claim
+  // protocol must hand out every chunk exactly once each time and leave the
+  // ordered fold untouched.
+  std::vector<double> serial(9);
+  set_thread_count(1);
+  for (std::size_t chunks = 2; chunks <= 8; ++chunks) {
+    serial[chunks] = ordered_sum(chunks);
+  }
+  for (const int lanes : {2, 3, 4, 8}) {
+    set_thread_count(lanes);
+    std::vector<std::atomic<int>> visits(8);
+    for (int region = 0; region < 10'000; ++region) {
+      const std::size_t chunks = 2 + static_cast<std::size_t>(region) % 7;
+      for (std::atomic<int>& v : visits) v.store(0, std::memory_order_relaxed);
+      parallel_for(0, chunks, 1, [&](std::size_t i) {
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < chunks; ++i) {
+        ASSERT_EQ(visits[i].load(), 1)
+            << "lanes " << lanes << " region " << region << " chunk " << i;
+      }
+      ASSERT_EQ(ordered_sum(chunks), serial[chunks])
+          << "lanes " << lanes << " region " << region;
+    }
+  }
+}
+
+TEST_F(ExecTest, TwoThreadsIssueRegionsConcurrently) {
+  // One thread owns the pool at a time; the other runs its region inline.
+  // Either way each region covers its range once and folds in chunk order.
+  set_thread_count(4);
+  const double expected = ordered_sum(8);
+  auto issue = [expected](std::atomic<int>& failures) {
+    for (int region = 0; region < 2'000; ++region) {
+      std::atomic<std::size_t> visited{0};
+      parallel_for(0, 8, 1, [&](std::size_t) {
+        visited.fetch_add(1, std::memory_order_relaxed);
+      });
+      if (visited.load() != 8u || ordered_sum(8) != expected) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  std::atomic<int> failures{0};
+  std::thread first(issue, std::ref(failures));
+  std::thread second(issue, std::ref(failures));
+  first.join();
+  second.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace
