@@ -45,9 +45,9 @@ int main() {
       flow::FlowOptions options = bench::design_flow_options(spec);
       options.shape_mode = flow::ShapeMode::kVpr;
       variant.tweak(options);
-      const flow::FlowResult run = flow::run_clustered_flow(nl, options);
+      const flow::FlowResult run = flow::try_run(nl, options).value();
       const flow::PpaOutcome ppa =
-          flow::evaluate_ppa(nl, run.place.positions, options);
+          flow::try_evaluate_ppa(nl, run.place.positions, options).value();
       if (base_hpwl == 0.0) {
         base_hpwl = run.place.hpwl_um;
         base_rwl = ppa.rwl_um;

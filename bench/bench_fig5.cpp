@@ -30,7 +30,7 @@ int main() {
     netlist::Netlist nl = bench::make_design(specs[d]);
     flow::FlowOptions options = bench::design_flow_options(specs[d]);
     options.shape_mode = flow::ShapeMode::kUniform;  // isolate Eq. 3 effects
-    const flow::FlowResult run = flow::run_clustered_flow(nl, options);
+    const flow::FlowResult run = flow::try_run(nl, options).value();
     baseline[d] = run.place.hpwl_um;
   }
 
@@ -46,7 +46,7 @@ int main() {
         if (std::string(param) == "beta") options.fc.beta *= multiplier;
         if (std::string(param) == "gamma") options.fc.gamma *= multiplier;
         if (std::string(param) == "mu") options.fc.mu *= multiplier;
-        const flow::FlowResult run = flow::run_clustered_flow(nl, options);
+        const flow::FlowResult run = flow::try_run(nl, options).value();
         const double norm = run.place.hpwl_um / baseline[d];
         norm_sum += norm;
         csv.add_row({specs[d].name, param, std::to_string(multiplier),

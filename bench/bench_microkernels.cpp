@@ -118,7 +118,8 @@ void BM_GlobalRouting(benchmark::State& state) {
   AllocCounters allocs(state);
   for (auto _ : state) {
     route::GlobalRouter router(f.nl, f.positions, f.fp.core, route::RouteOptions{});
-    benchmark::DoNotOptimize(router.run().wirelength_um);
+    benchmark::DoNotOptimize(
+        router.try_run(fault::DegradePolicy{}).value().wirelength_um);
   }
 }
 BENCHMARK(BM_GlobalRouting)->Unit(benchmark::kMillisecond);

@@ -53,14 +53,18 @@ int main() {
   vpr_options.min_cluster_instances = 60;
   util::Timer timer;
   const vpr::ShapeSelectionStats exact =
-      vpr::select_cluster_shapes(nl, clustered, vpr_options, nullptr);
+      vpr::try_select_cluster_shapes(nl, clustered, vpr_options, nullptr,
+                                     fault::DegradePolicy{})
+          .value();
   const double exact_seconds = timer.seconds();
 
   const vpr::ShapeCostPredictor predictor =
       result.model->predictor(features::FeatureOptions{});
   timer.reset();
   const vpr::ShapeSelectionStats ml_stats =
-      vpr::select_cluster_shapes(nl, clustered, vpr_options, &predictor);
+      vpr::try_select_cluster_shapes(nl, clustered, vpr_options, &predictor,
+                                     fault::DegradePolicy{})
+          .value();
   const double ml_seconds = timer.seconds();
 
   const double per_run_s =

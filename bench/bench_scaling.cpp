@@ -41,7 +41,9 @@ void run_thread_sweep() {
     cluster::ClusteredNetlist clustered = cluster::build_clustered_netlist(
         nl, fc_result.cluster_of_cell, fc_result.cluster_count);
     util::Timer timer;
-    vpr::select_cluster_shapes(nl, clustered, vpr_options, nullptr);
+    vpr::try_select_cluster_shapes(nl, clustered, vpr_options, nullptr,
+                                   fault::DegradePolicy{})
+        .value();
     const double seconds = timer.seconds();
     if (threads == 1) base_seconds = seconds;
     const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
@@ -79,11 +81,13 @@ int main() {
     options.clock_period_ps = spec.clock_period_ps;
     options.vpr.min_cluster_instances = 1 << 20;  // isolate placement runtime
 
+    flow::FlowOptions flat = options;
+    flat.strategy = flow::PlaceStrategy::kFlat;
     netlist::Netlist nl_default = gen::generate(bench::library(), spec);
-    const flow::FlowResult def = flow::run_default_flow(nl_default, options);
+    const flow::FlowResult def = flow::try_run(nl_default, flat).value();
 
     netlist::Netlist nl_ours = gen::generate(bench::library(), spec);
-    const flow::FlowResult ours = flow::run_clustered_flow(nl_ours, options);
+    const flow::FlowResult ours = flow::try_run(nl_ours, options).value();
     const double ours_cpu =
         ours.place.clustering_seconds + ours.place.placement_seconds;
     const double ratio = ours_cpu / def.place.placement_seconds;

@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   netlist::Netlist nl_mono = bench::make_design(spec);
   flow::FlowOptions mono_options = options;
   if (mono_iters > 0) mono_options.placer.incremental_iterations = mono_iters;
-  const flow::FlowResult mono = flow::run_clustered_flow(nl_mono, mono_options);
+  const flow::FlowResult mono = flow::try_run(nl_mono, mono_options).value();
   const double mono_rss = peak_rss_mb();
   table.add_row({"monolithic", bench::fmt(mono.place.placement_seconds, 2),
                  "1.00", bench::fmt(mono.place.hpwl_um, 0), "0.00", "0",
@@ -177,10 +177,11 @@ int main(int argc, char** argv) {
   for (const int shards : shard_counts) {
     netlist::Netlist nl = bench::make_design(spec);
     flow::FlowOptions sharded_options = options;
+    sharded_options.strategy = flow::PlaceStrategy::kSharded;
     sharded_options.sharding.shards = shards;
     if (shard_iters > 0) sharded_options.sharding.shard_iterations = shard_iters;
     if (stitch_iters >= 0) sharded_options.sharding.stitch_iterations = stitch_iters;
-    const flow::FlowResult run = flow::run_sharded_flow(nl, sharded_options);
+    const flow::FlowResult run = flow::try_run(nl, sharded_options).value();
     const double rss = peak_rss_mb();
     const double speedup =
         run.place.placement_seconds > 0.0

@@ -77,21 +77,23 @@ int main(int argc, char** argv) {
   for (const gen::DesignSpec& spec : gen::all_design_specs()) {
     const flow::FlowOptions base = bench::design_flow_options(spec);
 
+    flow::FlowOptions flat = base;
+    flat.strategy = flow::PlaceStrategy::kFlat;
     netlist::Netlist nl_default = bench::make_design(spec);
-    const flow::FlowResult def = flow::run_default_flow(nl_default, base);
+    const flow::FlowResult def = flow::try_run(nl_default, flat).value();
 
     // Blob placement [9]: Louvain communities, uniform shapes, seeded flow.
     netlist::Netlist nl_blob = bench::make_design(spec);
     flow::FlowOptions blob_options = base;
     blob_options.cluster_method = flow::ClusterMethod::kLouvainBlob;
     blob_options.shape_mode = flow::ShapeMode::kUniform;
-    const flow::FlowResult blob = flow::run_clustered_flow(nl_blob, blob_options);
+    const flow::FlowResult blob = flow::try_run(nl_blob, blob_options).value();
 
     // Ours: PPA-aware clustering + V-P&R cluster shapes.
     netlist::Netlist nl_ours = bench::make_design(spec);
     flow::FlowOptions ours_options = base;
     ours_options.shape_mode = flow::ShapeMode::kVpr;
-    const flow::FlowResult ours = flow::run_clustered_flow(nl_ours, ours_options);
+    const flow::FlowResult ours = flow::try_run(nl_ours, ours_options).value();
 
     const double def_cpu = def.place.placement_seconds;
     auto cpu_of = [](const flow::FlowResult& r) {

@@ -17,17 +17,19 @@ int main() {
     flow::FlowOptions base = bench::design_flow_options(spec);
     base.tool = flow::Tool::kInnovusLike;
 
+    flow::FlowOptions flat = base;
+    flat.strategy = flow::PlaceStrategy::kFlat;
     netlist::Netlist nl_default = bench::make_design(spec);
-    const flow::FlowResult def = flow::run_default_flow(nl_default, base);
+    const flow::FlowResult def = flow::try_run(nl_default, flat).value();
     const flow::PpaOutcome def_ppa =
-        flow::evaluate_ppa(nl_default, def.place.positions, base);
+        flow::try_evaluate_ppa(nl_default, def.place.positions, flat).value();
 
     netlist::Netlist nl_ours = bench::make_design(spec);
     flow::FlowOptions ours_options = base;
     ours_options.shape_mode = flow::ShapeMode::kVpr;
-    const flow::FlowResult ours = flow::run_clustered_flow(nl_ours, ours_options);
+    const flow::FlowResult ours = flow::try_run(nl_ours, ours_options).value();
     const flow::PpaOutcome ours_ppa =
-        flow::evaluate_ppa(nl_ours, ours.place.positions, ours_options);
+        flow::try_evaluate_ppa(nl_ours, ours.place.positions, ours_options).value();
 
     auto add = [&](const char* label, const flow::PpaOutcome& ppa) {
       const double rwl_norm = ppa.rwl_um / def_ppa.rwl_um;

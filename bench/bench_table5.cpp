@@ -27,19 +27,21 @@ int main() {
   for (const gen::DesignSpec& spec : gen::small_design_specs()) {
     const flow::FlowOptions base = bench::design_flow_options(spec);
 
+    flow::FlowOptions flat = base;
+    flat.strategy = flow::PlaceStrategy::kFlat;
     netlist::Netlist nl_default = bench::make_design(spec);
-    const flow::FlowResult def = flow::run_default_flow(nl_default, base);
+    const flow::FlowResult def = flow::try_run(nl_default, flat).value();
     const flow::PpaOutcome def_ppa =
-        flow::evaluate_ppa(nl_default, def.place.positions, base);
+        flow::try_evaluate_ppa(nl_default, def.place.positions, flat).value();
 
     for (const Method& m : methods) {
       netlist::Netlist nl = bench::make_design(spec);
       flow::FlowOptions options = base;
       options.cluster_method = m.method;
       options.shape_mode = flow::ShapeMode::kVpr;
-      const flow::FlowResult run = flow::run_clustered_flow(nl, options);
+      const flow::FlowResult run = flow::try_run(nl, options).value();
       const flow::PpaOutcome ppa =
-          flow::evaluate_ppa(nl, run.place.positions, options);
+          flow::try_evaluate_ppa(nl, run.place.positions, options).value();
       const double rwl_norm = ppa.rwl_um / def_ppa.rwl_um;
       table.add_row({spec.name, m.label, bench::fmt(rwl_norm, 3),
                      bench::fmt(ppa.wns_ps, 0), bench::fmt(ppa.tns_ns, 2),

@@ -55,9 +55,9 @@ int main() {
           std::max(8, static_cast<int>(nl.cell_count()) / 120);
       options.shape_mode = variant.mode;
       options.ml_predictor = &predictor;
-      const flow::FlowResult run = flow::run_clustered_flow(nl, options);
+      const flow::FlowResult run = flow::try_run(nl, options).value();
       const flow::PpaOutcome ppa =
-          flow::evaluate_ppa(nl, run.place.positions, options);
+          flow::try_evaluate_ppa(nl, run.place.positions, options).value();
       if (variant.mode == flow::ShapeMode::kUniform) uniform_rwl = ppa.rwl_um;
       rows.emplace_back(variant.label, ppa);
     }

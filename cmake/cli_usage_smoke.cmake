@@ -1,0 +1,71 @@
+# flow_cli usage-error smoke (run via `cmake -P` from ctest, see
+# examples/CMakeLists.txt). Every malformed invocation below must exit 1 with
+# a one-line message instead of running some other flow; the invocation
+# shapes of flowbench/run.py (clustered, flat and sharded, on a Verilog
+# netlist) must still exit 0.
+#
+# Inputs: -DFLOW_CLI=<path to flow_cli> -DWORK_DIR=<writable directory>
+
+if(NOT DEFINED FLOW_CLI OR NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "cli_usage_smoke: FLOW_CLI and WORK_DIR must be defined")
+endif()
+
+# Each case is one space-separated argument list.
+foreach(case IN ITEMS
+    "--flow bogus"
+    "--flow default --sharded"
+    "--tool innvous"
+    "--shapes vrp"
+    "--design no-such-design"
+    "--cells abc"
+    "--cells -5"
+    "--threads abc"
+    "--shards abc"
+    "--clock abc"
+    "--report-paths abc")
+  separate_arguments(args UNIX_COMMAND "${case}")
+  execute_process(
+    COMMAND "${FLOW_CLI}" --place-only ${args}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "flow_cli ${case}: want exit 1, got ${rc}:\n${out}\n${err}")
+  endif()
+  string(STRIP "${err}" err)
+  if(err STREQUAL "" OR err MATCHES "\n")
+    message(FATAL_ERROR "flow_cli ${case}: want a one-line message, got:\n${err}")
+  endif()
+endforeach()
+
+# flowbench reads a Verilog netlist; write a small one to read back.
+set(netlist "${WORK_DIR}/cli_usage_smoke.v")
+execute_process(
+  COMMAND "${FLOW_CLI}" --design aes --cells 300 --place-only
+          --write-verilog "${netlist}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "flow_cli --write-verilog failed (${rc}):\n${out}\n${err}")
+endif()
+
+set(common --verilog "${netlist}" --clock 1500 --place-only
+    "--qor=${WORK_DIR}/cli_usage_smoke.qor.json"
+    --report "${WORK_DIR}/cli_usage_smoke_report.json")
+foreach(shape IN ITEMS
+    "--flow ours --threads 1"
+    "--flow default --threads 1"
+    "--flow ours --sharded --shards 8 --threads 4 --check full")
+  separate_arguments(args UNIX_COMMAND "${shape}")
+  execute_process(
+    COMMAND "${FLOW_CLI}" ${common} ${args}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "flow_cli ${shape}: want exit 0, got ${rc}:\n${out}\n${err}")
+  endif()
+endforeach()
+
+message(STATUS "cli usage smoke OK")

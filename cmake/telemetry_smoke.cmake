@@ -2,7 +2,8 @@
 # examples/CMakeLists.txt): drives flow_cli end-to-end with --report/--trace
 # on a shrunken design, then validates that the run report carries every flow
 # phase and the per-iteration placer metrics, and that the trace file is a
-# Chrome trace_event document.
+# Chrome trace_event document. The flat and sharded placement strategies must
+# report their own placement phase too (flowbench's place_s sums them).
 #
 # Inputs: -DFLOW_CLI=<path to flow_cli> -DWORK_DIR=<writable directory>
 
@@ -47,6 +48,31 @@ foreach(key "traceEvents" "displayTimeUnit" "flow.cluster")
   string(FIND "${trace_text}" "\"${key}\"" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "trace missing \"${key}\"")
+  endif()
+endforeach()
+
+# One placement phase per strategy: flat and sharded runs (placement only).
+set(strategy_report "${WORK_DIR}/telemetry_smoke_strategy_report.json")
+foreach(strategy IN ITEMS
+    "flow.global_place|--flow default"
+    "flow.sharded_place|--flow ours --sharded --shards 4")
+  string(REPLACE "|" ";" strategy "${strategy}")
+  list(GET strategy 0 phase)
+  list(GET strategy 1 flags)
+  separate_arguments(flags UNIX_COMMAND "${flags}")
+  execute_process(
+    COMMAND "${FLOW_CLI}" --design aes --cells 400 --place-only ${flags}
+            --report "${strategy_report}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "flow_cli ${flags} failed (${rc}):\n${out}\n${err}")
+  endif()
+  file(READ "${strategy_report}" strategy_text)
+  string(FIND "${strategy_text}" "\"${phase}\"" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "report of ${flags} missing \"${phase}\":\n${strategy_text}")
   endif()
 endforeach()
 

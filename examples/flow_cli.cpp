@@ -18,10 +18,19 @@
 /// --list-designs prints every generatable design (the six Table-1 stand-ins
 /// plus the scaled 1M-5M tier from src/gen/scale.hpp) with its instance
 /// count, Rent exponent, and generator seed, then exits.
-/// --sharded runs the region-sharded seeded placement (flow::run_sharded_flow)
-/// instead of the monolithic incremental pass; --shards sets the region
-/// count (default 8). --place-only skips the post-route PPA evaluation —
-/// the right mode for million-instance scale runs where routing dominates.
+/// --flow and --sharded select FlowOptions::strategy: --flow default is
+/// PlaceStrategy::kFlat; every other --flow value names a cluster method and
+/// runs PlaceStrategy::kSeeded, or PlaceStrategy::kSharded (region-sharded
+/// seeded placement instead of the monolithic incremental pass) with
+/// --sharded; --shards sets the region count (default 8). --place-only skips
+/// the post-route PPA evaluation — the right mode for million-instance scale
+/// runs where routing dominates.
+///
+/// Usage errors exit with status 1 and a one-line message: an unknown flag;
+/// a --design, --tool, --flow or --shapes value outside the lists above;
+/// --sharded with --flow default (the flat flow has no clusters to shard);
+/// and a --cells, --threads, --shards, --report-paths or --clock value that
+/// is not a non-negative number (0 means "default" for each of them).
 ///
 /// --report writes the telemetry run report (flow config, phase timings,
 /// metric snapshot, PPA outcome, errors/degradations) as JSON; --trace
@@ -44,10 +53,13 @@
 /// environment variable is used when the flag is absent. The flow degrades
 /// gracefully per FlowOptions::degrade; an unabsorbed structured error
 /// prints its code and exits with status 3.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -100,30 +112,82 @@ struct Args {
   std::string qor_path;  // empty = bench_results/<design>.qor.json
 };
 
+/// Parses a non-negative number (the whole of `text`) into `out`.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(text, end, parsed);
+  if (ec != std::errc() || ptr != end || !(parsed >= 0) ||
+      !std::isfinite(static_cast<double>(parsed))) {
+    std::fprintf(stderr, "%s expects a non-negative number, got \"%s\"\n",
+                 flag.c_str(), text);
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+/// Accepts `text` into `out` when it is one of `choices`.
+bool parse_choice(const std::string& flag, const char* text,
+                  std::initializer_list<const char*> choices, std::string* out) {
+  std::string expected;
+  for (const char* choice : choices) {
+    if (std::strcmp(text, choice) == 0) {
+      *out = text;
+      return true;
+    }
+    expected += expected.empty() ? choice : std::string("|") + choice;
+  }
+  std::fprintf(stderr, "%s expects %s, got \"%s\"\n", flag.c_str(),
+               expected.c_str(), text);
+  return false;
+}
+
+bool known_design(const std::string& name) {
+  for (const ppacd::gen::DesignSpec& spec : ppacd::gen::all_design_specs()) {
+    if (spec.name == name) return true;
+  }
+  return ppacd::gen::find_scaled_design(name) != nullptr;
+}
+
 bool parse_args(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
+    bool ok = true;
     if (arg == "--design") args->design = value();
     else if (arg == "--verilog") args->verilog_in = value();
-    else if (arg == "--tool") args->tool = value();
-    else if (arg == "--flow") args->flow = value();
-    else if (arg == "--shapes") args->shapes = value();
-    else if (arg == "--clock") args->clock_ps = std::atof(value());
+    else if (arg == "--tool") {
+      ok = parse_choice(arg, value(), {"openroad", "innovus"}, &args->tool);
+    }
+    else if (arg == "--flow") {
+      ok = parse_choice(arg, value(),
+                        {"default", "ours", "blob", "leiden", "mfc", "bc",
+                         "overlay"},
+                        &args->flow);
+    }
+    else if (arg == "--shapes") {
+      ok = parse_choice(arg, value(), {"uniform", "random", "vpr"},
+                        &args->shapes);
+    }
+    else if (arg == "--clock") ok = parse_number(arg, value(), &args->clock_ps);
     else if (arg == "--write-verilog") args->write_verilog = value();
     else if (arg == "--write-def") args->write_def = value();
     else if (arg == "--write-svg") args->write_svg = value();
     else if (arg == "--write-congestion") args->write_congestion = value();
-    else if (arg == "--report-paths") args->report_paths = std::atoi(value());
-    else if (arg == "--cells") args->cells = std::atoi(value());
+    else if (arg == "--report-paths") {
+      ok = parse_number(arg, value(), &args->report_paths);
+    }
+    else if (arg == "--cells") ok = parse_number(arg, value(), &args->cells);
     else if (arg == "--report") args->report_json = value();
     else if (arg == "--trace") args->trace_json = value();
     else if (arg == "--opt") args->timing_opt = true;
     else if (arg == "--detailed") args->detailed = true;
     else if (arg == "--sharded") args->sharded = true;
-    else if (arg == "--shards") args->shards = std::atoi(value());
+    else if (arg == "--shards") ok = parse_number(arg, value(), &args->shards);
     else if (arg == "--place-only") args->place_only = true;
     else if (arg == "--list-designs") args->list_designs = true;
     else if (arg == "--observe") args->observe = true;
@@ -136,7 +200,7 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->qor = true;
       args->qor_path = arg.substr(std::strlen("--qor="));
     }
-    else if (arg == "--threads") args->threads = std::atoi(value());
+    else if (arg == "--threads") ok = parse_number(arg, value(), &args->threads);
     else if (arg == "--fault-plan") args->fault_plan = value();
     else if (arg == "--check") {
       const char* level = value();
@@ -150,6 +214,19 @@ bool parse_args(int argc, char** argv, Args* args) {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) return false;
+  }
+  if (args->verilog_in.empty() && !args->list_designs &&
+      !known_design(args->design)) {
+    std::fprintf(stderr,
+                 "--design: unknown design \"%s\" (see --list-designs)\n",
+                 args->design.c_str());
+    return false;
+  }
+  if (args->sharded && args->flow == "default") {
+    std::fprintf(stderr,
+                 "--sharded needs a clustered --flow; \"default\" is flat\n");
+    return false;
   }
   return true;
 }
@@ -239,6 +316,8 @@ int main(int argc, char** argv) {
   if (args.shapes == "uniform") options.shape_mode = flow::ShapeMode::kUniform;
   else if (args.shapes == "random") options.shape_mode = flow::ShapeMode::kRandom;
   else options.shape_mode = flow::ShapeMode::kVpr;
+  if (args.flow == "default") options.strategy = flow::PlaceStrategy::kFlat;
+  else if (args.sharded) options.strategy = flow::PlaceStrategy::kSharded;
   if (args.flow == "blob") options.cluster_method = flow::ClusterMethod::kLouvainBlob;
   else if (args.flow == "leiden") options.cluster_method = flow::ClusterMethod::kLeiden;
   else if (args.flow == "mfc") options.cluster_method = flow::ClusterMethod::kMfc;
@@ -266,10 +345,7 @@ int main(int argc, char** argv) {
 #endif
     return 3;
   };
-  auto result_or = args.sharded ? flow::try_run_sharded_flow(*design, options)
-                   : args.flow == "default"
-                       ? flow::try_run_default_flow(*design, options)
-                       : flow::try_run_clustered_flow(*design, options);
+  auto result_or = flow::try_run(*design, options);
   if (!result_or.has_value()) return fail_flow(result_or.error());
   flow::FlowResult result = std::move(result_or).value();
   flow::PpaOutcome ppa;

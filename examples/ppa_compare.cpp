@@ -24,15 +24,17 @@ void run_tool(const gen::DesignSpec& spec, flow::Tool tool, const char* label) {
   options.shape_mode = flow::ShapeMode::kVpr;
   options.vpr.min_cluster_instances = 30;
 
+  flow::FlowOptions flat = options;
+  flat.strategy = flow::PlaceStrategy::kFlat;
   netlist::Netlist nl_default = gen::generate(lib, spec);
-  const flow::FlowResult def = flow::run_default_flow(nl_default, options);
+  const flow::FlowResult def = flow::try_run(nl_default, flat).value();
   const flow::PpaOutcome def_ppa =
-      flow::evaluate_ppa(nl_default, def.place.positions, options);
+      flow::try_evaluate_ppa(nl_default, def.place.positions, flat).value();
 
   netlist::Netlist nl_ours = gen::generate(lib, spec);
-  const flow::FlowResult ours = flow::run_clustered_flow(nl_ours, options);
+  const flow::FlowResult ours = flow::try_run(nl_ours, options).value();
   const flow::PpaOutcome ours_ppa =
-      flow::evaluate_ppa(nl_ours, ours.place.positions, options);
+      flow::try_evaluate_ppa(nl_ours, ours.place.positions, options).value();
 
   std::printf("\n--- %s flow ---\n", label);
   std::printf("%-10s %10s %10s %10s %10s %10s %10s\n", "flow", "place(s)",

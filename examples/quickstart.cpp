@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   options.vpr.min_cluster_instances = 30;
 
   // 3. Run the clustering-driven placement (Algorithm 1)...
-  const flow::FlowResult result = flow::run_clustered_flow(design, options);
+  const flow::FlowResult result = flow::try_run(design, options).value();
   std::printf("placed: HPWL %.0f um, %d clusters (%d V-P&R-shaped), "
               "clustering %.2fs + placement %.2fs\n",
               result.place.hpwl_um, result.place.cluster_count,
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   // 4. ...and evaluate post-route PPA (global route + CTS + STA + power).
   const flow::PpaOutcome ppa =
-      flow::evaluate_ppa(design, result.place.positions, options);
+      flow::try_evaluate_ppa(design, result.place.positions, options).value();
   std::printf("post-route: rWL %.0f um, WNS %.0f ps, TNS %.2f ns, "
               "power %.4f W, clock skew %.1f ps\n",
               ppa.rwl_um, ppa.wns_ps, ppa.tns_ns, ppa.power_w, ppa.clock_skew_ps);

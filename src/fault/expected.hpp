@@ -4,7 +4,7 @@
 /// The flow (Alg. 1) chains six subsystems; before this header every mid-flow
 /// failure was a PPACD_CHECK (abort in checked builds, log-and-corrupt in
 /// release). `Expected` replaces those fatal paths with a value-or-error sum
-/// type so `flow::try_run_*` can return a structured `FlowError` that the CLI
+/// type so `flow::try_run` can return a structured `FlowError` that the CLI
 /// prints, the JSON run report serializes, and callers can recover from.
 ///
 /// `FlowError::code` uses the same stable kebab-case convention as the

@@ -26,7 +26,6 @@
 #include "sta/power.hpp"
 #include "sta/sta.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/assert.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -210,7 +209,7 @@ fault::Expected<void, fault::FlowError> apply_shapes(
   return {};
 }
 
-/// Optional repair stage: buffer high-fanout nets, upsize critical drivers,
+/// Stage 4, optional repair: buffer high-fanout nets, upsize critical drivers,
 /// then re-legalize the enlarged netlist (buffers were dropped at group
 /// centroids). Updates positions and HPWL in `result`.
 void run_timing_optimization(netlist::Netlist& nl, const place::Floorplan& fp,
@@ -244,300 +243,139 @@ void run_timing_optimization(netlist::Netlist& nl, const place::Floorplan& fp,
   });
 }
 
-}  // namespace
-
-fault::Expected<FlowResult, fault::FlowError> try_run_default_flow(
-    netlist::Netlist& nl, const FlowOptions& options) {
-  FlowResult result;
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_netlist(nl, level);
-  });
-  const place::Floorplan fp = make_floorplan(nl, options);
-  const place::PlaceModel model = place::make_place_model(nl, fp);
-
-  place::LegalizeResult legal;
+/// Stage 1 (Alg. 1 lines 2-13): clusters the netlist and shapes the
+/// clusters; fills the cluster counts and their timings in `outcome`.
+fault::Expected<cluster::ClusteredNetlist, fault::FlowError>
+try_cluster_and_shape(const netlist::Netlist& nl, const FlowOptions& options,
+                      PlaceOutcome& outcome) {
+  cluster::ClusteredNetlist clustered;
   {
-    PPACD_SPAN(span, "flow.global_place");
+    PPACD_SPAN(span, "flow.cluster");
     span.anchor();
-    util::ScopedTimer timer(result.place.placement_seconds);
-    place::GlobalPlacerOptions placer_options = options.placer;
-    placer_options.seed = options.seed;
-    placer_options.trace_iterations = true;
-    place::GlobalPlacer placer(model, placer_options);
-    auto placed_or = placer.try_run(options.degrade);
-    if (!placed_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(placed_or).error());
+    util::ScopedTimer timer(outcome.clustering_seconds);
+    auto clustering = run_clustering(nl, options);
+    if (!clustering.has_value()) {
+      return fault::Unexpected<fault::FlowError>(std::move(clustering).error());
     }
-    const place::PlaceResult placed = std::move(placed_or).value();
-    if (!placed.degrade_code.empty()) {
-      fault::record_degradation({"place.solve", placed.degrade_code,
+    outcome.cluster_count = clustering.value().count;
+    clustered = cluster::build_clustered_netlist(
+        nl, clustering.value().assignment, outcome.cluster_count);
+    PPACD_SPAN_ATTR(span, "method", to_string(options.cluster_method));
+    PPACD_SPAN_ATTR(span, "clusters", outcome.cluster_count);
+  }
+  run_check(options, [&](check::CheckLevel level) {
+    return check::check_clustering(nl, clustered, level);
+  });
+
+  PPACD_SPAN(span, "flow.shape");
+  span.anchor();
+  util::ScopedTimer timer(outcome.shaping_seconds);
+  auto shaped = apply_shapes(nl, clustered, options, outcome);
+  if (!shaped.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(shaped).error());
+  }
+  PPACD_SPAN_ATTR(span, "mode", to_string(options.shape_mode));
+  PPACD_SPAN_ATTR(span, "shaped", outcome.shaped_clusters);
+  return clustered;
+}
+
+/// The start of the seeded placement strategies.
+struct ClusterSeed {
+  place::Placement clusters;        ///< placed cluster centers
+  std::vector<geom::Point> cells;   ///< induced cell positions
+};
+
+/// Stage 2 (Alg. 1 lines 15-17): places the clustered netlist and induces
+/// the cell positions the flat placement starts from.
+fault::Expected<ClusterSeed, fault::FlowError> try_seed_place(
+    const netlist::Netlist& nl, const cluster::ClusteredNetlist& clustered,
+    const place::Floorplan& fp, const FlowOptions& options) {
+  PPACD_SPAN(span, "flow.seed_place");
+  span.anchor();
+  const double io_scale =
+      options.tool == Tool::kOpenRoadLike ? options.io_weight_scale : 1.0;
+  const place::PlaceModel cluster_model =
+      cluster::make_cluster_place_model(clustered, nl, fp, io_scale);
+  place::GlobalPlacerOptions seed_options = options.placer;
+  seed_options.seed = options.seed;
+  // Cluster macros cannot be untangled by cell shifting; use bisection.
+  seed_options.spread_mode = place::SpreadMode::kBisection;
+  seed_options.trace_iterations = true;
+  auto placed =
+      place::GlobalPlacer(cluster_model, seed_options).try_run(options.degrade);
+  if (!placed.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(placed).error());
+  }
+  if (!placed.value().degrade_code.empty()) {
+    fault::record_degradation({"place.solve", placed.value().degrade_code,
+                               "early-stop", "cluster seed placement"});
+  }
+  PPACD_SPAN_ATTR(span, "iterations", placed.value().iterations);
+
+  ClusterSeed seed;
+  seed.clusters = std::move(placed).value().placement;
+  // Place instances within their placed cluster footprints (or exactly at
+  // the centers when scatter_seed is off).
+  seed.cells = cluster::induce_cell_positions(clustered, nl, seed.clusters,
+                                              options.scatter_seed, options.seed);
+  return seed;
+}
+
+/// The solve of stage 3: places the flat `model` per `options.strategy`. The
+/// seeded strategies start from the cluster seed; the Innovus-like tool
+/// fences each V-P&R-shaped cluster into its placed footprint (line 18),
+/// while the sharded strategy's regions stand in for those fences.
+fault::Expected<place::PlaceResult, fault::FlowError> try_solve(
+    const netlist::Netlist& nl, const place::Floorplan& fp,
+    const cluster::ClusteredNetlist& clustered, const ClusterSeed& seed,
+    const FlowOptions& options, place::PlaceModel& model,
+    PlaceOutcome& outcome) {
+  place::GlobalPlacerOptions placer = options.placer;
+  placer.seed = options.seed;
+  placer.trace_iterations = true;
+  if (options.strategy == PlaceStrategy::kFlat) {
+    auto placed = place::GlobalPlacer(model, placer).try_run(options.degrade);
+    if (placed.has_value() && !placed.value().degrade_code.empty()) {
+      fault::record_degradation({"place.solve", placed.value().degrade_code,
                                  "early-stop", "flat global placement"});
     }
-    legal = place::legalize(model, placed.placement);
-    if (options.detailed_placement) {
-      legal.placement =
-          place::detailed_place(model, legal.placement, place::DetailedOptions{})
-              .placement;
-    }
-    PPACD_SPAN_ATTR(span, "iterations", placed.iterations);
-    PPACD_SPAN_ATTR(span, "overflow", placed.overflow);
+    return placed;
   }
 
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_placement(model, legal.placement, level);
-  });
-  result.place.positions = place::cell_positions(nl, legal.placement);
-  result.place.hpwl_um = place::netlist_hpwl(nl, result.place.positions);
-  if (options.timing_optimization) {
-    run_timing_optimization(nl, fp, options, result);
-  }
-  return result;
-}
-
-FlowResult run_default_flow(netlist::Netlist& nl, const FlowOptions& options) {
-  auto result = try_run_default_flow(nl, options);
-  PPACD_CHECK(result.has_value(),
-              "default flow failed: " << result.error().code);
-  return std::move(result).value();
-}
-
-fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
-    netlist::Netlist& nl, const FlowOptions& options) {
-  FlowResult result;
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_netlist(nl, level);
-  });
-  const place::Floorplan fp = make_floorplan(nl, options);
-
-  // --- Clustering (Alg. 1 lines 2-10) ----------------------------------------
-  ClusteringOutcome clustering;
-  cluster::ClusteredNetlist clustered;
-  {
-    PPACD_SPAN(span, "flow.cluster");
-    span.anchor();
-    util::ScopedTimer timer(result.place.clustering_seconds);
-    auto clustering_or = run_clustering(nl, options);
-    if (!clustering_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(
-          std::move(clustering_or).error());
-    }
-    clustering = std::move(clustering_or).value();
-    clustered = cluster::build_clustered_netlist(nl, clustering.assignment,
-                                                 clustering.count);
-    PPACD_SPAN_ATTR(span, "method", to_string(options.cluster_method));
-    PPACD_SPAN_ATTR(span, "clusters", clustering.count);
-  }
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_clustering(nl, clustered, level);
-  });
-  result.place.cluster_count = clustering.count;
-
-  // --- Cluster shapes (lines 12-13) -------------------------------------------
-  {
-    PPACD_SPAN(span, "flow.shape");
-    span.anchor();
-    util::ScopedTimer timer(result.place.shaping_seconds);
-    auto shaped = apply_shapes(nl, clustered, options, result.place);
-    if (!shaped.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(shaped).error());
-    }
-    PPACD_SPAN_ATTR(span, "mode", to_string(options.shape_mode));
-    PPACD_SPAN_ATTR(span, "shaped", result.place.shaped_clusters);
+  place::Placement seed_flat(model.objects.size());
+  for (std::size_t i = 0; i < nl.cell_count(); ++i) seed_flat[i] = seed.cells[i];
+  for (std::size_t i = nl.cell_count(); i < model.objects.size(); ++i) {
+    seed_flat[i] = model.objects[i].fixed_position;
   }
 
-  // --- Seed placement of the clustered netlist (lines 15-25) ------------------
-  place::LegalizeResult legal;
-  {
-  util::ScopedTimer placement_timer(result.place.placement_seconds);
-  std::vector<geom::Point> seeded_cells;
-  place::PlaceResult seed_placed;
-  {
-    PPACD_SPAN(span, "flow.seed_place");
-    span.anchor();
-    const double io_scale =
-        options.tool == Tool::kOpenRoadLike ? options.io_weight_scale : 1.0;
-    const place::PlaceModel cluster_model =
-        cluster::make_cluster_place_model(clustered, nl, fp, io_scale);
-    place::GlobalPlacerOptions seed_options = options.placer;
-    seed_options.seed = options.seed;
-    // Cluster macros cannot be untangled by cell shifting; use bisection.
-    seed_options.spread_mode = place::SpreadMode::kBisection;
-    seed_options.trace_iterations = true;
-    place::GlobalPlacer seed_placer(cluster_model, seed_options);
-    auto seed_or = seed_placer.try_run(options.degrade);
-    if (!seed_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(seed_or).error());
-    }
-    seed_placed = std::move(seed_or).value();
-    if (!seed_placed.degrade_code.empty()) {
-      fault::record_degradation({"place.solve", seed_placed.degrade_code,
-                                 "early-stop", "cluster seed placement"});
-    }
-
-    // Place instances within their placed cluster footprints (or exactly at
-    // the centers when scatter_seed is off).
-    seeded_cells = cluster::induce_cell_positions(
-        clustered, nl, seed_placed.placement, options.scatter_seed, options.seed);
-    PPACD_SPAN_ATTR(span, "iterations", seed_placed.iterations);
-  }
-
-  PPACD_SPAN(incremental_span, "flow.incremental_place");
-  incremental_span.anchor();
-
-  // Flat model for the incremental pass; the Innovus-like tool adds region
-  // constraints for the V-P&R-shaped clusters (line 18).
-  place::PlaceModel flat_model = place::make_place_model(nl, fp);
-  if (options.tool == Tool::kInnovusLike) {
-    for (const cluster::ClusterId ci : clustered.cluster_ids()) {
-      const cluster::Cluster& c = clustered.clusters[ci];
-      if (static_cast<int>(c.cells.size()) <= options.vpr.min_cluster_instances) {
-        continue;
-      }
-      geom::Rect region = cluster_region(clustered, ci, seed_placed.placement);
-      // Clip the fence to the core.
-      region = geom::Rect::make(std::max(region.lx, fp.core.lx),
-                                std::max(region.ly, fp.core.ly),
-                                std::min(region.ux, fp.core.ux),
-                                std::min(region.uy, fp.core.uy));
-      if (region.width() <= 0.0 || region.height() <= 0.0) continue;
-      for (const netlist::CellId cell : c.cells) {
-        flat_model.objects[cell.index()].region = region;
+  if (options.strategy == PlaceStrategy::kSeeded) {
+    if (options.tool == Tool::kInnovusLike) {
+      for (const cluster::ClusterId ci : clustered.cluster_ids()) {
+        const cluster::Cluster& c = clustered.clusters[ci];
+        if (static_cast<int>(c.cells.size()) <=
+            options.vpr.min_cluster_instances) {
+          continue;
+        }
+        geom::Rect region = cluster_region(clustered, ci, seed.clusters);
+        // Clip the fence to the core.
+        region = geom::Rect::make(std::max(region.lx, fp.core.lx),
+                                  std::max(region.ly, fp.core.ly),
+                                  std::min(region.ux, fp.core.ux),
+                                  std::min(region.uy, fp.core.uy));
+        if (region.width() <= 0.0 || region.height() <= 0.0) continue;
+        for (const netlist::CellId cell : c.cells) {
+          model.objects[cell.index()].region = region;
+        }
       }
     }
-  }
-
-  place::Placement seed_flat(flat_model.objects.size());
-  for (std::size_t i = 0; i < nl.cell_count(); ++i) seed_flat[i] = seeded_cells[i];
-  for (std::size_t i = nl.cell_count(); i < flat_model.objects.size(); ++i) {
-    seed_flat[i] = flat_model.objects[i].fixed_position;
-  }
-  place::GlobalPlacerOptions inc_options = options.placer;
-  inc_options.seed = options.seed;
-  inc_options.trace_iterations = true;
-  place::GlobalPlacer flat_placer(flat_model, inc_options);
-  auto incremental_or = flat_placer.try_run_incremental(seed_flat, options.degrade);
-  if (!incremental_or.has_value()) {
-    return fault::Unexpected<fault::FlowError>(std::move(incremental_or).error());
-  }
-  const place::PlaceResult incremental = std::move(incremental_or).value();
-  if (!incremental.degrade_code.empty()) {
-    fault::record_degradation({"place.solve", incremental.degrade_code,
-                               "early-stop", "incremental flat placement"});
-  }
-
-  // Remove region constraints (line 20) before legalization so cells can
-  // settle into legal sites anywhere.
-  place::PlaceModel unfenced = flat_model;
-  for (place::PlaceObject& obj : unfenced.objects) obj.region.reset();
-  legal = place::legalize(unfenced, incremental.placement);
-  if (options.detailed_placement) {
-    legal.placement =
-        place::detailed_place(unfenced, legal.placement, place::DetailedOptions{})
-            .placement;
-  }
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_placement(unfenced, legal.placement, level);
-  });
-  PPACD_SPAN_ATTR(incremental_span, "iterations", incremental.iterations);
-  PPACD_SPAN_ATTR(incremental_span, "overflow", incremental.overflow);
-  }  // placement scope (seed + incremental)
-
-  result.place.positions = place::cell_positions(nl, legal.placement);
-  result.place.hpwl_um = place::netlist_hpwl(nl, result.place.positions);
-  if (options.timing_optimization) {
-    run_timing_optimization(nl, fp, options, result);
-  }
-  PPACD_LOG_INFO("flow") << nl.name() << ": clustered flow, "
-                         << clustering.count << " clusters, HPWL "
-                         << result.place.hpwl_um;
-  return result;
-}
-
-FlowResult run_clustered_flow(netlist::Netlist& nl, const FlowOptions& options) {
-  auto result = try_run_clustered_flow(nl, options);
-  PPACD_CHECK(result.has_value(),
-              "clustered flow failed: " << result.error().code);
-  return std::move(result).value();
-}
-
-fault::Expected<FlowResult, fault::FlowError> try_run_sharded_flow(
-    netlist::Netlist& nl, const FlowOptions& options) {
-  FlowResult result;
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_netlist(nl, level);
-  });
-  const place::Floorplan fp = make_floorplan(nl, options);
-
-  // --- Clustering + shapes: identical to the clustered flow ------------------
-  ClusteringOutcome clustering;
-  cluster::ClusteredNetlist clustered;
-  {
-    PPACD_SPAN(span, "flow.cluster");
-    span.anchor();
-    util::ScopedTimer timer(result.place.clustering_seconds);
-    auto clustering_or = run_clustering(nl, options);
-    if (!clustering_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(
-          std::move(clustering_or).error());
+    auto placed = place::GlobalPlacer(model, placer)
+                      .try_run_incremental(seed_flat, options.degrade);
+    if (placed.has_value() && !placed.value().degrade_code.empty()) {
+      fault::record_degradation({"place.solve", placed.value().degrade_code,
+                                 "early-stop", "incremental flat placement"});
     }
-    clustering = std::move(clustering_or).value();
-    clustered = cluster::build_clustered_netlist(nl, clustering.assignment,
-                                                 clustering.count);
-    PPACD_SPAN_ATTR(span, "method", to_string(options.cluster_method));
-    PPACD_SPAN_ATTR(span, "clusters", clustering.count);
+    return placed;
   }
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_clustering(nl, clustered, level);
-  });
-  result.place.cluster_count = clustering.count;
-
-  {
-    PPACD_SPAN(span, "flow.shape");
-    span.anchor();
-    util::ScopedTimer timer(result.place.shaping_seconds);
-    auto shaped = apply_shapes(nl, clustered, options, result.place);
-    if (!shaped.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(shaped).error());
-    }
-    PPACD_SPAN_ATTR(span, "mode", to_string(options.shape_mode));
-    PPACD_SPAN_ATTR(span, "shaped", result.place.shaped_clusters);
-  }
-
-  // --- Seed placement + sharded flat placement -------------------------------
-  place::PlaceModel flat_model;
-  place::LegalizeResult legal;
-  {
-  util::ScopedTimer placement_timer(result.place.placement_seconds);
-  place::PlaceResult seed_placed;
-  std::vector<geom::Point> seeded_cells;
-  {
-    PPACD_SPAN(span, "flow.seed_place");
-    span.anchor();
-    const double io_scale =
-        options.tool == Tool::kOpenRoadLike ? options.io_weight_scale : 1.0;
-    const place::PlaceModel cluster_model =
-        cluster::make_cluster_place_model(clustered, nl, fp, io_scale);
-    place::GlobalPlacerOptions seed_options = options.placer;
-    seed_options.seed = options.seed;
-    seed_options.spread_mode = place::SpreadMode::kBisection;
-    seed_options.trace_iterations = true;
-    place::GlobalPlacer seed_placer(cluster_model, seed_options);
-    auto seed_or = seed_placer.try_run(options.degrade);
-    if (!seed_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(seed_or).error());
-    }
-    seed_placed = std::move(seed_or).value();
-    if (!seed_placed.degrade_code.empty()) {
-      fault::record_degradation({"place.solve", seed_placed.degrade_code,
-                                 "early-stop", "cluster seed placement"});
-    }
-    seeded_cells = cluster::induce_cell_positions(
-        clustered, nl, seed_placed.placement, options.scatter_seed, options.seed);
-    PPACD_SPAN_ATTR(span, "iterations", seed_placed.iterations);
-  }
-
-  PPACD_SPAN(shard_span, "flow.sharded_place");
-  shard_span.anchor();
 
   // Each placed cluster footprint is one partitionable group; the region
   // partitioner maps groups onto `options.sharding.shards` floorplan regions.
@@ -545,76 +383,124 @@ fault::Expected<FlowResult, fault::FlowError> try_run_sharded_flow(
   groups.reserve(clustered.cluster_count());
   for (const cluster::ClusterId ci : clustered.cluster_ids()) {
     place::ShardGroup group;
-    group.center = seed_placed.placement[ci.index()];
-    group.rect = cluster_region(clustered, ci, seed_placed.placement);
+    group.center = seed.clusters[ci.index()];
+    group.rect = cluster_region(clustered, ci, seed.clusters);
     group.weight =
         static_cast<std::int64_t>(clustered.clusters[ci].cells.size());
     groups.push_back(group);
   }
   const place::RegionPartition partition =
       place::partition_regions(groups, fp.core, options.sharding.shards);
-  result.place.shard_count = partition.shard_count();
-
-  // Flat model; shards stand in for fences, so the sharded flow adds no
-  // Innovus-style region constraints.
-  flat_model = place::make_place_model(nl, fp);
-  std::vector<std::int32_t> shard_of_object(flat_model.objects.size(), -1);
+  outcome.shard_count = partition.shard_count();
+  std::vector<std::int32_t> shard_of_object(model.objects.size(), -1);
   for (std::size_t i = 0; i < nl.cell_count(); ++i) {
     const cluster::ClusterId ci =
         clustered.cluster_of_cell[static_cast<netlist::CellId>(i)];
     shard_of_object[i] = partition.shard_of_group[ci.index()];
   }
+  auto sharded =
+      place::try_place_sharded(model, seed_flat, shard_of_object, partition,
+                               options.sharding, placer, options.degrade);
+  if (!sharded.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(sharded).error());
+  }
+  for (const place::ShardStat& stat : sharded.value().shards) {
+    outcome.shard_fallbacks += stat.fell_back ? 1 : 0;
+  }
+  place::PlaceResult placed;
+  placed.overflow = sharded.value().overflow;
+  placed.placement = std::move(sharded).value().placement;
+  return placed;
+}
 
-  place::Placement seed_flat(flat_model.objects.size());
-  for (std::size_t i = 0; i < nl.cell_count(); ++i) seed_flat[i] = seeded_cells[i];
-  for (std::size_t i = nl.cell_count(); i < flat_model.objects.size(); ++i) {
-    seed_flat[i] = flat_model.objects[i].fixed_position;
+const char* place_span_name(PlaceStrategy strategy) {
+  switch (strategy) {
+    case PlaceStrategy::kFlat: return "flow.global_place";
+    case PlaceStrategy::kSeeded: return "flow.incremental_place";
+    case PlaceStrategy::kSharded: return "flow.sharded_place";
   }
-  place::GlobalPlacerOptions inc_options = options.placer;
-  inc_options.seed = options.seed;
-  inc_options.trace_iterations = true;
-  auto sharded_or =
-      place::try_place_sharded(flat_model, seed_flat, shard_of_object, partition,
-                               options.sharding, inc_options, options.degrade);
-  if (!sharded_or.has_value()) {
-    return fault::Unexpected<fault::FlowError>(std::move(sharded_or).error());
-  }
-  const place::ShardedPlaceResult sharded = std::move(sharded_or).value();
-  for (const place::ShardStat& stat : sharded.shards) {
-    result.place.shard_fallbacks += stat.fell_back ? 1 : 0;
+  return "flow.place";
+}
+
+/// Stage 3, placement (lines 18-20 for the seeded strategies): solves,
+/// removes the fences so cells can settle into legal sites anywhere,
+/// legalizes, optionally refines and checks. Returns the cell positions.
+fault::Expected<std::vector<geom::Point>, fault::FlowError> try_place(
+    const netlist::Netlist& nl, const place::Floorplan& fp,
+    const cluster::ClusteredNetlist& clustered, const ClusterSeed& seed,
+    const FlowOptions& options, PlaceOutcome& outcome) {
+  PPACD_SPAN(span, place_span_name(options.strategy));
+  span.anchor();
+  place::PlaceModel model = place::make_place_model(nl, fp);
+  auto placed = try_solve(nl, fp, clustered, seed, options, model, outcome);
+  if (!placed.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(placed).error());
   }
 
-  legal = place::legalize(flat_model, sharded.placement);
+  for (place::PlaceObject& obj : model.objects) obj.region.reset();
+  place::LegalizeResult legal = place::legalize(model, placed.value().placement);
   if (options.detailed_placement) {
     legal.placement =
-        place::detailed_place(flat_model, legal.placement, place::DetailedOptions{})
+        place::detailed_place(model, legal.placement, place::DetailedOptions{})
             .placement;
   }
   run_check(options, [&](check::CheckLevel level) {
-    return check::check_placement(flat_model, legal.placement, level);
+    return check::check_placement(model, legal.placement, level);
   });
-  PPACD_SPAN_ATTR(shard_span, "shards", result.place.shard_count);
-  PPACD_SPAN_ATTR(shard_span, "fallbacks", result.place.shard_fallbacks);
-  PPACD_SPAN_ATTR(shard_span, "overflow", sharded.overflow);
-  }  // placement scope (seed + sharded + stitch)
+  if (options.strategy == PlaceStrategy::kSharded) {
+    PPACD_SPAN_ATTR(span, "shards", outcome.shard_count);
+    PPACD_SPAN_ATTR(span, "fallbacks", outcome.shard_fallbacks);
+  } else {
+    PPACD_SPAN_ATTR(span, "iterations", placed.value().iterations);
+  }
+  PPACD_SPAN_ATTR(span, "overflow", placed.value().overflow);
+  return place::cell_positions(nl, legal.placement);
+}
 
-  result.place.positions = place::cell_positions(nl, legal.placement);
+}  // namespace
+
+fault::Expected<FlowResult, fault::FlowError> try_run(
+    netlist::Netlist& nl, const FlowOptions& options) {
+  FlowResult result;
+  run_check(options, [&](check::CheckLevel level) {
+    return check::check_netlist(nl, level);
+  });
+  const place::Floorplan fp = make_floorplan(nl, options);
+
+  const bool flat = options.strategy == PlaceStrategy::kFlat;
+  cluster::ClusteredNetlist clustered;
+  if (!flat) {
+    auto shaped = try_cluster_and_shape(nl, options, result.place);
+    if (!shaped.has_value()) {
+      return fault::Unexpected<fault::FlowError>(std::move(shaped).error());
+    }
+    clustered = std::move(shaped).value();
+  }
+  {
+    util::ScopedTimer timer(result.place.placement_seconds);
+    ClusterSeed seed;
+    if (!flat) {
+      auto seed_or = try_seed_place(nl, clustered, fp, options);
+      if (!seed_or.has_value()) {
+        return fault::Unexpected<fault::FlowError>(std::move(seed_or).error());
+      }
+      seed = std::move(seed_or).value();
+    }
+    auto placed = try_place(nl, fp, clustered, seed, options, result.place);
+    if (!placed.has_value()) {
+      return fault::Unexpected<fault::FlowError>(std::move(placed).error());
+    }
+    result.place.positions = std::move(placed).value();
+  }
+
   result.place.hpwl_um = place::netlist_hpwl(nl, result.place.positions);
   if (options.timing_optimization) {
     run_timing_optimization(nl, fp, options, result);
   }
-  PPACD_LOG_INFO("flow") << nl.name() << ": sharded flow, "
-                         << result.place.cluster_count << " clusters, "
-                         << result.place.shard_count << " shards, HPWL "
-                         << result.place.hpwl_um;
+  PPACD_LOG_INFO("flow") << nl.name() << ": " << result.place.cluster_count
+                         << " clusters, " << result.place.shard_count
+                         << " shards, HPWL " << result.place.hpwl_um;
   return result;
-}
-
-FlowResult run_sharded_flow(netlist::Netlist& nl, const FlowOptions& options) {
-  auto result = try_run_sharded_flow(nl, options);
-  PPACD_CHECK(result.has_value(),
-              "sharded flow failed: " << result.error().code);
-  return std::move(result).value();
 }
 
 fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
@@ -708,14 +594,6 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
   }
   out.power_w = base.total_w - base.clock_w + cts_clock_w + buffer_leakage_w;
   return out;
-}
-
-PpaOutcome evaluate_ppa(const netlist::Netlist& nl,
-                        const std::vector<geom::Point>& positions,
-                        const FlowOptions& options) {
-  auto out = try_evaluate_ppa(nl, positions, options);
-  PPACD_CHECK(out.has_value(), "PPA evaluation failed: " << out.error().code);
-  return std::move(out).value();
 }
 
 }  // namespace ppacd::flow

@@ -1,23 +1,28 @@
 /// \file flow.hpp
-/// \brief Algorithm 1: the full clustering-driven placement flow, its
-/// baselines, and post-route PPA evaluation.
+/// \brief Algorithm 1 as one pipeline, its baselines, and post-route PPA
+/// evaluation.
 ///
-/// Flows provided:
-///   * run_default_flow  - flat global placement (the "Default" rows),
-///   * run_clustered_flow - the paper's approach: PPA-info extraction,
-///     hierarchy grouping (Alg. 2), enhanced FC clustering (Eq. 2/3),
-///     cluster shaping (V-P&R / ML / random / uniform), cluster seed
-///     placement, seeded incremental flat placement; the `cluster_method`
-///     knob swaps in the Table-5 baselines (Leiden, plain multilevel FC) and
-///     the blob-placement comparator [9] (Louvain + seeded placement).
+/// try_run runs the stages in order:
+///   1. cluster and shape: PPA-info extraction, hierarchy grouping (Alg. 2),
+///      enhanced FC clustering (Eq. 2/3) and cluster shaping (V-P&R / ML /
+///      random / uniform); the `cluster_method` knob swaps in the Table-5
+///      baselines (Leiden, plain multilevel FC) and the blob-placement
+///      comparator [9] (Louvain + seeded placement);
+///   2. seed placement of the clustered netlist;
+///   3. placement: one solve chosen by `strategy` — flat global placement
+///      (the "Default" rows, which skip stages 1 and 2), seeded incremental
+///      flat placement (the paper's approach), or region-sharded seeded
+///      placement — then the shared legalization, optional detailed
+///      placement and placement check;
+///   4. optional timing optimization.
 ///
 /// Tool personalities (Alg. 1 lines 15-25): the OpenROAD-like flow scales IO
 /// net weights by 4 on the clustered netlist and runs incremental placement
 /// from cluster centers; the Innovus-like flow instead adds region (fence)
 /// constraints for V-P&R-shaped clusters during the incremental placement.
 ///
-/// evaluate_ppa routes the design, synthesizes the clock tree, and reports
-/// rWL / WNS / TNS / Power exactly as Tables 3-6 record them.
+/// try_evaluate_ppa routes the design, synthesizes the clock tree, and
+/// reports rWL / WNS / TNS / Power exactly as Tables 3-6 record them.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +53,18 @@ enum class ClusterMethod {
   kCutOverlay,   ///< cut-overlay [6]: FC solutions combined by intersection
 };
 
+/// The placement stage of try_run. kSharded partitions the seed-placed
+/// clusters onto floorplan regions (place::partition_regions), places each
+/// region as an independent sub-problem with boundary pins fixed at the
+/// region crossings, and stitches the shards with a short bounded
+/// incremental pass (place::try_place_sharded; DESIGN.md §16). It is
+/// bit-identical at any thread count for a fixed shard count.
+enum class PlaceStrategy {
+  kFlat,     ///< flat global placement, no clustering (the "Default" flow)
+  kSeeded,   ///< incremental flat placement from the cluster seed (Alg. 1)
+  kSharded,  ///< region-sharded placement from the cluster seed
+};
+
 enum class ShapeMode {
   kUniform,  ///< every cluster at utilization 0.9, AR 1.0 (Table 6 "Uniform")
   kRandom,   ///< random candidate shapes (Table 6 "Random")
@@ -56,6 +73,7 @@ enum class ShapeMode {
 };
 
 struct FlowOptions {
+  PlaceStrategy strategy = PlaceStrategy::kSeeded;
   Tool tool = Tool::kOpenRoadLike;
   ClusterMethod cluster_method = ClusterMethod::kPpaAware;
   ShapeMode shape_mode = ShapeMode::kVpr;
@@ -73,8 +91,8 @@ struct FlowOptions {
   route::RouteOptions router;
   cts::CtsOptions cts;
   /// Run window-reordering detailed placement after legalization (applies
-  /// to both the default and the clustered flows; off by default so the
-  /// reproduced tables isolate the paper's contribution).
+  /// to every strategy; off by default so the reproduced tables isolate the
+  /// paper's contribution).
   bool detailed_placement = false;
   /// Scatter seeded cells inside their cluster's placed footprint instead
   /// of stacking them at the cluster center (Alg. 1's literal step). On by
@@ -96,11 +114,11 @@ struct FlowOptions {
   /// falls back to exact V-P&R, shape-sweep failure to the default shape,
   /// placer failure to early stop, router failure to serial retries then
   /// partial routes, STA failure to HPWL-only cost. Disabling a policy
-  /// turns that failure into a propagated FlowError from the try_* entry
-  /// points (the legacy entry points then assert).
+  /// turns that failure into a propagated FlowError from try_run /
+  /// try_evaluate_ppa.
   fault::DegradePolicy degrade;
-  /// Region-sharded seeded placement (run_sharded_flow only): shard count
-  /// and per-shard / stitch iteration budgets.
+  /// Region-sharded seeded placement (PlaceStrategy::kSharded only): shard
+  /// count and per-shard / stitch iteration budgets.
   place::ShardedOptions sharding;
   std::uint64_t seed = 3;
 };
@@ -112,9 +130,9 @@ struct PlaceOutcome {
   double clustering_seconds = 0.0;     ///< PPA extraction + clustering
   double placement_seconds = 0.0;      ///< seed + incremental (or flat GP)
   double shaping_seconds = 0.0;        ///< V-P&R / ML shape selection
-  int cluster_count = 0;               ///< 0 for the default flow
+  int cluster_count = 0;               ///< 0 for PlaceStrategy::kFlat
   int shaped_clusters = 0;
-  int shard_count = 0;                 ///< 0 unless the sharded flow ran
+  int shard_count = 0;                 ///< 0 unless PlaceStrategy::kSharded
   int shard_fallbacks = 0;             ///< shards that kept their VPR seed
 };
 
@@ -130,43 +148,20 @@ struct PpaOutcome {
 
 struct FlowResult {
   PlaceOutcome place;
-  PpaOutcome ppa;  ///< filled by run_*_with_ppa / evaluate_ppa
+  PpaOutcome ppa;  ///< filled by the caller from try_evaluate_ppa
 };
 
-/// Flat placement without clustering (the "Default" flow). Places the
-/// netlist's ports on the floorplan boundary as a side effect.
-FlowResult run_default_flow(netlist::Netlist& netlist, const FlowOptions& options);
-
-/// The clustering-driven flow of Algorithm 1 (or a baseline variant).
-FlowResult run_clustered_flow(netlist::Netlist& netlist, const FlowOptions& options);
-
-/// The clustered flow with region-sharded seeded placement: the top-level
-/// clusters are partitioned onto floorplan regions
-/// (place::partition_regions), each region's cells are placed as an
-/// independent sub-problem with boundary pins fixed at the region crossings
-/// (place::try_place_sharded), and a short bounded incremental pass stitches
-/// the shards. Bit-identical at any thread count for a fixed shard count; a
-/// failed shard falls back to its cluster-induced seed when
-/// `options.degrade.shard_fallback_seed`.
-FlowResult run_sharded_flow(netlist::Netlist& netlist, const FlowOptions& options);
+/// Runs the placement flow selected by `options` (see the file comment)
+/// and places the netlist's ports on the floorplan boundary as a side
+/// effect. Subsystem failures (injected through the fault sites or genuine)
+/// are either absorbed by the degradation policies in `options.degrade` —
+/// each absorption recorded via fault::record_degradation and surfaced in
+/// the JSON run report — or, when the policy forbids the fallback, returned
+/// as a structured FlowError. The same holds for try_evaluate_ppa.
+[[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run(
+    netlist::Netlist& netlist, const FlowOptions& options);
 
 /// Routes, runs CTS, and measures post-route PPA for a placed design.
-PpaOutcome evaluate_ppa(const netlist::Netlist& netlist,
-                        const std::vector<geom::Point>& positions,
-                        const FlowOptions& options);
-
-/// Fallible forms of the flow entry points. Subsystem failures (injected
-/// through the fault sites or genuine) are either absorbed by the
-/// degradation policies in `options.degrade` — each absorption recorded via
-/// fault::record_degradation and surfaced in the JSON run report — or, when
-/// the policy forbids the fallback, returned as a structured FlowError.
-/// The legacy entry points above are thin asserting wrappers over these.
-[[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run_default_flow(
-    netlist::Netlist& netlist, const FlowOptions& options);
-[[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
-    netlist::Netlist& netlist, const FlowOptions& options);
-[[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run_sharded_flow(
-    netlist::Netlist& netlist, const FlowOptions& options);
 [[nodiscard]] fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
     const netlist::Netlist& netlist, const std::vector<geom::Point>& positions,
     const FlowOptions& options);

@@ -364,12 +364,6 @@ void GlobalRouter::route_maze(GridPoint a, GridPoint b,
   }
 }
 
-RouteResult GlobalRouter::run() {
-  auto result = run_impl(fault::DegradePolicy{});
-  PPACD_CHECK(result.has_value(), "routing failed: " << result.error().code);
-  return std::move(result).value();
-}
-
 fault::Expected<RouteResult, fault::FlowError> GlobalRouter::try_run(
     const fault::DegradePolicy& policy) {
   try {

@@ -85,15 +85,11 @@ class GlobalRouter {
                const std::vector<geom::Point>& positions,
                const geom::Rect& core, const RouteOptions& options);
 
-  /// Routes everything; asserts on allocation failure. Nets whose route
-  /// fails (injected `route.maze` fault) are retried serially and, if still
-  /// failing, skipped — see RouteResult::failed_nets.
-  RouteResult run();
-
-  /// Fallible form of run(): per-net failures at the `route.maze` site are
+  /// Routes everything. Per-net failures at the `route.maze` site are
   /// retried `policy.route_retries` times (with `policy.route_backoff_ms`
-  /// backoff scaled by attempt) and then dropped into a partial result;
-  /// allocation failure returns a structured `alloc-failure` error.
+  /// backoff scaled by attempt) and then dropped into a partial result — see
+  /// RouteResult::failed_nets; allocation failure returns a structured
+  /// `alloc-failure` error.
   [[nodiscard]] fault::Expected<RouteResult, fault::FlowError> try_run(
       const fault::DegradePolicy& policy);
 

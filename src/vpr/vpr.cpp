@@ -167,8 +167,8 @@ VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options)
 
   // Parallel across candidates; each lane copies the sub-netlist once and
   // reuses it for every candidate it evaluates (only ports differ per shape).
-  // When nested under the cluster-parallel loop in select_cluster_shapes the
-  // chunks run inline on the worker, so this costs one copy per cluster.
+  // When nested under the cluster-parallel loop in try_select_cluster_shapes
+  // the chunks run inline on the worker, so this costs one copy per cluster.
   struct LaneScratch {
     std::optional<netlist::Netlist> nl;
     std::vector<geom::Point> positions;
@@ -408,17 +408,6 @@ fault::Expected<ShapeSelectionStats, fault::FlowError> try_select_cluster_shapes
                          << " clusters (" << stats.clusters_skipped
                          << " below threshold)";
   return stats;
-}
-
-ShapeSelectionStats select_cluster_shapes(const netlist::Netlist& nl,
-                                          cluster::ClusteredNetlist& clustered,
-                                          const VprOptions& options,
-                                          const ShapeCostPredictor* predictor) {
-  auto stats = try_select_cluster_shapes(nl, clustered, options, predictor,
-                                         fault::DegradePolicy{});
-  PPACD_CHECK(stats.has_value(),
-              "shape selection failed: " << stats.error().code);
-  return stats.value();
 }
 
 }  // namespace ppacd::vpr

@@ -145,11 +145,4 @@ try_select_cluster_shapes(
     const VprOptions& options, const ShapeCostPredictor* predictor,
     const fault::DegradePolicy& policy);
 
-/// Legacy entry point: try_select_cluster_shapes with the default (fully
-/// permissive) DegradePolicy; asserts on structural errors.
-ShapeSelectionStats select_cluster_shapes(const netlist::Netlist& netlist,
-                                          cluster::ClusteredNetlist& clustered,
-                                          const VprOptions& options,
-                                          const ShapeCostPredictor* predictor);
-
 }  // namespace ppacd::vpr

@@ -357,7 +357,9 @@ struct RoutedDesign {
     const place::PlaceModel model = place::make_place_model(nl, fp);
     const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
     positions = place::cell_positions(nl, gp.placement);
-    routed = route::GlobalRouter(nl, positions, fp.core, options).run();
+    routed = route::GlobalRouter(nl, positions, fp.core, options)
+                 .try_run(fault::DegradePolicy{})
+                 .value();
   }
   static netlist::Netlist make() {
     gen::DesignSpec spec = gen::design_spec("aes");
@@ -446,8 +448,9 @@ TEST(CheckFlow, FullClusteredFlowIsViolationFree) {
   netlist::Netlist nl = gen::generate(lib(), spec);
   flow::FlowOptions options;
   options.check_level = CheckLevel::kFull;
-  const flow::FlowResult result = flow::run_clustered_flow(nl, options);
-  flow::evaluate_ppa(nl, result.place.positions, options);
+  const flow::FlowResult result = flow::try_run(nl, options).value();
+  ASSERT_TRUE(
+      flow::try_evaluate_ppa(nl, result.place.positions, options).has_value());
   EXPECT_EQ(logged_violations(), 0u) << log_json().dump(2);
   // Every phase validator actually ran: netlist, cluster, place, route.
   const std::vector<CheckResult> log = log_snapshot();

@@ -2,7 +2,7 @@
 /// \brief End-to-end enforcement of the exec determinism contract: the full
 /// flow (clustering, V-P&R shape sweeps, placement, routing, CTS, STA) must
 /// produce bit-identical results with 1 thread and with 8, on more than one
-/// design and through both flow entry points.
+/// design and through every placement strategy.
 ///
 /// Gauges are last-write metrics and thus legitimately racy under parallel
 /// writers; the comparisons below stick to placements, PPA numbers, and
@@ -59,6 +59,13 @@ constexpr std::uint64_t kGoldenDefaultHash = 0xfd23903d85389bc2ULL;
 // incremental pass.
 constexpr std::uint64_t kGoldenSharded1Hash = 0xbe8dd0762a2344e5ULL;
 constexpr std::uint64_t kGoldenShardedNHash = 0xf1d35026dabbbbf5ULL;
+// The goldens above run the OpenROAD-like tool with detailed placement and
+// timing optimization off. These cover the Innovus-like fences of the seeded
+// placement, and the repair stages (detailed placement + timing
+// optimization) after the flat and seeded placements.
+constexpr std::uint64_t kGoldenInnovusHash = 0x871f8a16f2e8b481ULL;
+constexpr std::uint64_t kGoldenFlatRepairHash = 0x9a60690597ae7f0dULL;
+constexpr std::uint64_t kGoldenSeededRepairHash = 0xa25ad19208afa532ULL;
 
 struct FlowSnapshot {
   std::vector<geom::Point> positions;
@@ -93,26 +100,29 @@ void expect_identical(const FlowSnapshot& serial, const FlowSnapshot& parallel) 
 }
 
 /// Runs one flow configuration at `threads` on a freshly generated design
-/// (run_* mutates the netlist, so every run starts from the generator).
-FlowSnapshot run_at(int threads, const char* design, int cells, bool clustered,
-                    bool enable_vpr, int shards = 0) {
+/// (try_run mutates the netlist, so every run starts from the generator).
+/// The sharded strategy uses 4 shards; `configure`, when set, edits the
+/// options last.
+FlowSnapshot run_at(int threads, const char* design, int cells,
+                    PlaceStrategy strategy, bool enable_vpr,
+                    void (*configure)(FlowOptions&) = nullptr) {
   exec::set_thread_count(threads);
   gen::DesignSpec spec = gen::design_spec(design);
   spec.target_cells = cells;
   netlist::Netlist nl = gen::generate(lib(), spec);
 
   FlowOptions options;
+  options.strategy = strategy;
   options.clock_period_ps = 550.0;
   options.fc.target_cluster_count = 10;
   options.vpr.min_cluster_instances = enable_vpr ? 20 : (1 << 20);
-  options.sharding.shards = shards;
+  options.sharding.shards = 4;
+  if (configure != nullptr) configure(options);
 
   telemetry::metrics().reset();
-  const FlowResult result = shards > 0 ? run_sharded_flow(nl, options)
-                            : clustered ? run_clustered_flow(nl, options)
-                                        : run_default_flow(nl, options);
+  const FlowResult result = try_run(nl, options).value();
   const PpaOutcome ppa =
-      evaluate_ppa(nl, result.place.positions, options);
+      try_evaluate_ppa(nl, result.place.positions, options).value();
 
   FlowSnapshot snap;
   snap.positions = result.place.positions;
@@ -130,6 +140,15 @@ FlowSnapshot run_at(int threads, const char* design, int cells, bool clustered,
   return snap;
 }
 
+void one_shard(FlowOptions& options) { options.sharding.shards = 1; }
+
+void innovus(FlowOptions& options) { options.tool = Tool::kInnovusLike; }
+
+void repair(FlowOptions& options) {
+  options.detailed_placement = true;
+  options.timing_optimization = true;
+}
+
 class DeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override { saved_threads_ = exec::thread_count(); }
@@ -145,12 +164,12 @@ class DeterminismTest : public ::testing::Test {
 TEST_F(DeterminismTest, ClusteredFlowWithVprBitIdentical1v8) {
   // V-P&R enabled: exercises the nested cluster x shape-candidate region,
   // the placer solves inside score_virtual_die, and the batched router.
-  const FlowSnapshot serial = run_at(1, "aes", 600, /*clustered=*/true,
+  const FlowSnapshot serial = run_at(1, "aes", 600, PlaceStrategy::kSeeded,
                                      /*enable_vpr=*/true);
 #if !defined(PPACD_TELEMETRY_DISABLED)
   EXPECT_GT(serial.shapes_evaluated, 0);
 #endif
-  const FlowSnapshot parallel = run_at(8, "aes", 600, /*clustered=*/true,
+  const FlowSnapshot parallel = run_at(8, "aes", 600, PlaceStrategy::kSeeded,
                                        /*enable_vpr=*/true);
   expect_identical(serial, parallel);
 }
@@ -158,9 +177,9 @@ TEST_F(DeterminismTest, ClusteredFlowWithVprBitIdentical1v8) {
 TEST_F(DeterminismTest, DefaultFlowSecondDesignBitIdentical1v8) {
   // Second design + flat entry point: flat quadratic placement, routing,
   // CTS, and level-parallel STA with no clustering in the loop.
-  const FlowSnapshot serial = run_at(1, "jpeg", 500, /*clustered=*/false,
+  const FlowSnapshot serial = run_at(1, "jpeg", 500, PlaceStrategy::kFlat,
                                      /*enable_vpr=*/false);
-  const FlowSnapshot parallel = run_at(8, "jpeg", 500, /*clustered=*/false,
+  const FlowSnapshot parallel = run_at(8, "jpeg", 500, PlaceStrategy::kFlat,
                                        /*enable_vpr=*/false);
   expect_identical(serial, parallel);
 }
@@ -171,13 +190,13 @@ TEST_F(DeterminismTest, ShardedFlowBitIdentical1v8) {
   // shard solves, merge, and stitch must not depend on thread count. Each
   // lane count claims chunks in its own order (lane l owns chunks l, l+L,
   // ... and steals the rest), so 2, 3 and 4 lanes are checked as well as 8.
-  const FlowSnapshot serial = run_at(1, "aes", 600, /*clustered=*/true,
-                                     /*enable_vpr=*/true, /*shards=*/4);
+  const FlowSnapshot serial = run_at(1, "aes", 600, PlaceStrategy::kSharded,
+                                     /*enable_vpr=*/true);
   for (const int threads : {2, 3, 4, 8}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     const FlowSnapshot parallel = run_at(threads, "aes", 600,
-                                         /*clustered=*/true,
-                                         /*enable_vpr=*/true, /*shards=*/4);
+                                         PlaceStrategy::kSharded,
+                                         /*enable_vpr=*/true);
     expect_identical(serial, parallel);
   }
 }
@@ -202,7 +221,7 @@ FaultedSnapshot run_faulted_at(int threads, const char* plan_spec) {
   fault::reset_log();
   fault::set_plan(plan.value());
   FaultedSnapshot snap;
-  snap.flow = run_at(threads, "aes", 600, /*clustered=*/true,
+  snap.flow = run_at(threads, "aes", 600, PlaceStrategy::kSeeded,
                      /*enable_vpr=*/true);
   snap.degradations = fault::degradation_log();
   fault::clear_plan();
@@ -272,7 +291,7 @@ TEST_F(DeterminismTest, GoldenClusteredFlowHashPinned) {
   // bit-identity of positions and PPA in this configuration.
   GTEST_SKIP() << "golden hash includes a telemetry counter";
 #endif
-  const FlowSnapshot snap = run_at(1, "aes", 600, /*clustered=*/true,
+  const FlowSnapshot snap = run_at(1, "aes", 600, PlaceStrategy::kSeeded,
                                    /*enable_vpr=*/true);
   EXPECT_EQ(snapshot_hash(snap), kGoldenClusteredHash)
       << "clustered flow output changed; if intentional, re-pin to 0x"
@@ -280,11 +299,37 @@ TEST_F(DeterminismTest, GoldenClusteredFlowHashPinned) {
 }
 
 TEST_F(DeterminismTest, GoldenDefaultFlowHashPinned) {
-  const FlowSnapshot snap = run_at(1, "jpeg", 500, /*clustered=*/false,
+  const FlowSnapshot snap = run_at(1, "jpeg", 500, PlaceStrategy::kFlat,
                                    /*enable_vpr=*/false);
   EXPECT_EQ(snapshot_hash(snap), kGoldenDefaultHash)
       << "default flow output changed; if intentional, re-pin to 0x"
       << std::hex << snapshot_hash(snap);
+}
+
+TEST_F(DeterminismTest, GoldenInnovusFlowHashPinned) {
+#if defined(PPACD_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "golden hash includes a telemetry counter";
+#endif
+  const FlowSnapshot snap = run_at(1, "aes", 600, PlaceStrategy::kSeeded,
+                                   /*enable_vpr=*/true, innovus);
+  EXPECT_EQ(snapshot_hash(snap), kGoldenInnovusHash)
+      << "Innovus-like flow output changed; if intentional, re-pin to 0x"
+      << std::hex << snapshot_hash(snap);
+}
+
+TEST_F(DeterminismTest, GoldenRepairFlowHashesPinned) {
+  // VPR off: neither hash folds in a telemetry counter, so both hold with
+  // telemetry compiled out too.
+  const FlowSnapshot flat = run_at(1, "jpeg", 500, PlaceStrategy::kFlat,
+                                   /*enable_vpr=*/false, repair);
+  EXPECT_EQ(snapshot_hash(flat), kGoldenFlatRepairHash)
+      << "flat flow with repair changed; if intentional, re-pin to 0x"
+      << std::hex << snapshot_hash(flat);
+  const FlowSnapshot seeded = run_at(1, "aes", 600, PlaceStrategy::kSeeded,
+                                     /*enable_vpr=*/false, repair);
+  EXPECT_EQ(snapshot_hash(seeded), kGoldenSeededRepairHash)
+      << "seeded flow with repair changed; if intentional, re-pin to 0x"
+      << std::hex << snapshot_hash(seeded);
 }
 
 TEST_F(DeterminismTest, GoldenShardedFlowHashesPinned) {
@@ -295,13 +340,13 @@ TEST_F(DeterminismTest, GoldenShardedFlowHashesPinned) {
   // and boundary terminals), so each pins its own golden. Together with the
   // 1-vs-8 test above this guarantees the shard decomposition depends only on
   // (model, seed, shard count) — never thread count or iteration order.
-  const FlowSnapshot one = run_at(1, "aes", 600, /*clustered=*/true,
-                                  /*enable_vpr=*/true, /*shards=*/1);
+  const FlowSnapshot one = run_at(1, "aes", 600, PlaceStrategy::kSharded,
+                                  /*enable_vpr=*/true, one_shard);
   EXPECT_EQ(snapshot_hash(one), kGoldenSharded1Hash)
       << "sharded flow (shards=1) output changed; if intentional, re-pin to 0x"
       << std::hex << snapshot_hash(one);
-  const FlowSnapshot many = run_at(1, "aes", 600, /*clustered=*/true,
-                                   /*enable_vpr=*/true, /*shards=*/4);
+  const FlowSnapshot many = run_at(1, "aes", 600, PlaceStrategy::kSharded,
+                                   /*enable_vpr=*/true);
   EXPECT_EQ(snapshot_hash(many), kGoldenShardedNHash)
       << "sharded flow (shards=4) output changed; if intentional, re-pin to 0x"
       << std::hex << snapshot_hash(many);
@@ -316,11 +361,11 @@ TEST_F(DeterminismTest, GoldenHashesUnchangedWithObserveEnabled) {
   const bool saved = observe::recorder().enabled();
   observe::recorder().set_enabled(true);
   observe::recorder().reset();
-  const FlowSnapshot clustered = run_at(1, "aes", 600, /*clustered=*/true,
+  const FlowSnapshot clustered = run_at(1, "aes", 600, PlaceStrategy::kSeeded,
                                         /*enable_vpr=*/true);
   EXPECT_EQ(snapshot_hash(clustered), kGoldenClusteredHash)
       << "observe instrumentation changed the clustered flow output";
-  const FlowSnapshot flat = run_at(1, "jpeg", 500, /*clustered=*/false,
+  const FlowSnapshot flat = run_at(1, "jpeg", 500, PlaceStrategy::kFlat,
                                    /*enable_vpr=*/false);
   EXPECT_EQ(snapshot_hash(flat), kGoldenDefaultHash)
       << "observe instrumentation changed the default flow output";

@@ -100,7 +100,9 @@ TEST(Edge, RouterOnSingleNet) {
   place::place_ports_on_boundary(nl, fp);
   const std::vector<geom::Point> positions(nl.cell_count(), fp.core.center());
   const auto result =
-      route::GlobalRouter(nl, positions, fp.core, route::RouteOptions{}).run();
+      route::GlobalRouter(nl, positions, fp.core, route::RouteOptions{})
+          .try_run(fault::DegradePolicy{})
+          .value();
   EXPECT_GE(result.wirelength_um, 0.0);
   EXPECT_EQ(result.overflow_edges, 0);
 }

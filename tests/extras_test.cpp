@@ -92,7 +92,7 @@ TEST(BestChoice, FlowIntegration) {
   options.clock_period_ps = 1100.0;
   options.cluster_method = flow::ClusterMethod::kBestChoice;
   options.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult result = flow::run_clustered_flow(nl, options);
+  const flow::FlowResult result = flow::try_run(nl, options).value();
   EXPECT_GT(result.place.cluster_count, 1);
   EXPECT_GT(result.place.hpwl_um, 0.0);
 }
@@ -135,8 +135,9 @@ TEST(Router, MazeFallbackNotWorse) {
   netlist::Netlist nl = sample(400);
   flow::FlowOptions fo;
   fo.clock_period_ps = 1100.0;
+  fo.strategy = flow::PlaceStrategy::kFlat;
   fo.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult placed = flow::run_default_flow(nl, fo);
+  const flow::FlowResult placed = flow::try_run(nl, fo).value();
 
   geom::BBox box;
   for (const auto& p : placed.place.positions) box.expand(p);
@@ -146,9 +147,13 @@ TEST(Router, MazeFallbackNotWorse) {
   route::RouteOptions no_maze = tight;
   no_maze.maze_fallback = false;
   const auto with_maze =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), tight).run();
+      route::GlobalRouter(nl, placed.place.positions, box.rect(), tight)
+          .try_run(fault::DegradePolicy{})
+          .value();
   const auto without =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), no_maze).run();
+      route::GlobalRouter(nl, placed.place.positions, box.rect(), no_maze)
+          .try_run(fault::DegradePolicy{})
+          .value();
   // Greedy negotiation can tie or wobble slightly; the maze must stay in
   // the same ballpark or better and never blow up.
   EXPECT_LE(with_maze.total_overflow, without.total_overflow * 1.05 + 5.0);
@@ -159,17 +164,21 @@ TEST(Router, SteinerTopologyShortens) {
   netlist::Netlist nl = sample(400);
   flow::FlowOptions fo;
   fo.clock_period_ps = 1100.0;
+  fo.strategy = flow::PlaceStrategy::kFlat;
   fo.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult placed = flow::run_default_flow(nl, fo);
+  const flow::FlowResult placed = flow::try_run(nl, fo).value();
   geom::BBox box;
   for (const auto& p : placed.place.positions) box.expand(p);
   route::RouteOptions steiner;
   route::RouteOptions mst;
   mst.use_steiner_topology = false;
   const auto a =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), steiner).run();
-  const auto b =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), mst).run();
+      route::GlobalRouter(nl, placed.place.positions, box.rect(), steiner)
+          .try_run(fault::DegradePolicy{})
+          .value();
+  const auto b = route::GlobalRouter(nl, placed.place.positions, box.rect(), mst)
+                     .try_run(fault::DegradePolicy{})
+                     .value();
   EXPECT_LE(a.wirelength_um, b.wirelength_um * 1.01);
 }
 
@@ -263,8 +272,9 @@ TEST(Viz, PlacementSvgStructure) {
   netlist::Netlist nl = sample(100);
   flow::FlowOptions fo;
   fo.clock_period_ps = 1100.0;
+  fo.strategy = flow::PlaceStrategy::kFlat;
   fo.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult placed = flow::run_default_flow(nl, fo);
+  const flow::FlowResult placed = flow::try_run(nl, fo).value();
   geom::BBox box;
   for (const auto& p : placed.place.positions) box.expand(p);
 
@@ -287,13 +297,15 @@ TEST(Viz, CongestionPpmHeader) {
   netlist::Netlist nl = sample(200);
   flow::FlowOptions fo;
   fo.clock_period_ps = 1100.0;
+  fo.strategy = flow::PlaceStrategy::kFlat;
   fo.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult placed = flow::run_default_flow(nl, fo);
+  const flow::FlowResult placed = flow::try_run(nl, fo).value();
   geom::BBox box;
   for (const auto& p : placed.place.positions) box.expand(p);
   const auto routed = route::GlobalRouter(nl, placed.place.positions, box.rect(),
                                           route::RouteOptions{})
-                          .run();
+                          .try_run(fault::DegradePolicy{})
+                          .value();
   std::ostringstream out;
   viz::write_congestion_ppm(routed, out);
   const std::string ppm = out.str();

@@ -75,11 +75,12 @@ CampaignOutcome run_campaign(const std::string& spec,
   const vpr::ShapeCostPredictor predictor = stub_predictor();
   if (use_ml) options.ml_predictor = &predictor;
   options.degrade = policy;
+  options.strategy =
+      sharded ? flow::PlaceStrategy::kSharded : flow::PlaceStrategy::kSeeded;
   options.sharding.shards = 4;
 
   CampaignOutcome outcome;
-  auto result = sharded ? flow::try_run_sharded_flow(nl, options)
-                        : flow::try_run_clustered_flow(nl, options);
+  auto result = flow::try_run(nl, options);
   if (!result.has_value()) {
     outcome.error = result.error();
   } else {

@@ -244,12 +244,14 @@ FlowStream record_flow_at(int threads) {
   options.clock_period_ps = 550.0;
   options.fc.target_cluster_count = 10;
   options.vpr.min_cluster_instances = 20;
+  options.strategy = flow::PlaceStrategy::kSharded;
   options.sharding.shards = 3;
 
   telemetry::metrics().reset();
   recorder().reset();
-  const flow::FlowResult result = flow::run_sharded_flow(nl, options);
-  (void)flow::evaluate_ppa(nl, result.place.positions, options);
+  const flow::FlowResult result = flow::try_run(nl, options).value();
+  EXPECT_TRUE(
+      flow::try_evaluate_ppa(nl, result.place.positions, options).has_value());
 
   FlowStream stream;
   stream.samples = recorder().merged_samples();

@@ -25,9 +25,10 @@ struct PlacedDesign {
     clock_ps = spec.clock_period_ps;
     nl.emplace(gen::generate(lib(), spec));
     flow::FlowOptions options;
+    options.strategy = flow::PlaceStrategy::kFlat;
     options.clock_period_ps = clock_ps;
     options.vpr.min_cluster_instances = 1 << 20;
-    const flow::FlowResult result = flow::run_default_flow(*nl, options);
+    const flow::FlowResult result = flow::try_run(*nl, options).value();
     positions = result.place.positions;
   }
   std::optional<Netlist> nl;

@@ -104,7 +104,7 @@ TEST(Overlay, FlowIntegration) {
   options.clock_period_ps = 1100.0;
   options.cluster_method = flow::ClusterMethod::kCutOverlay;
   options.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult result = flow::run_clustered_flow(nl, options);
+  const flow::FlowResult result = flow::try_run(nl, options).value();
   EXPECT_GT(result.place.cluster_count, 1);
   EXPECT_GT(result.place.hpwl_um, 0.0);
 }

@@ -262,7 +262,9 @@ TEST(RouteProperty, UtilizationsNonNegativeAndConsistent) {
   const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
   const auto positions = place::cell_positions(nl, gp.placement);
   const auto result =
-      route::GlobalRouter(nl, positions, fp.core, route::RouteOptions{}).run();
+      route::GlobalRouter(nl, positions, fp.core, route::RouteOptions{})
+          .try_run(fault::DegradePolicy{})
+          .value();
   double max_seen = 0.0;
   for (const double u : result.edge_utilization) {
     EXPECT_GE(u, 0.0);

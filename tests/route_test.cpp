@@ -69,6 +69,12 @@ struct RoutedDesign {
     spec.target_cells = cells;
     return gen::generate(lib(), spec);
   }
+  RouteResult route(const std::vector<geom::Point>& cells,
+                    const RouteOptions& options) const {
+    return GlobalRouter(nl, cells, fp.core, options)
+        .try_run(fault::DegradePolicy{})
+        .value();
+  }
   netlist::Netlist nl;
   place::Floorplan fp;
   std::vector<geom::Point> positions;
@@ -77,7 +83,7 @@ struct RoutedDesign {
 TEST(GlobalRouter, RoutedWirelengthAtLeastGridHpwl) {
   RoutedDesign d;
   GlobalRouter router(d.nl, d.positions, d.fp.core, RouteOptions{});
-  const RouteResult result = router.run();
+  const RouteResult result = router.try_run(fault::DegradePolicy{}).value();
   EXPECT_GT(result.wirelength_um, 0.0);
   EXPECT_GT(result.grid_nx, 1);
   EXPECT_GT(result.grid_ny, 1);
@@ -91,7 +97,7 @@ TEST(GlobalRouter, RoutedWirelengthAtLeastGridHpwl) {
 TEST(GlobalRouter, UtilizationsExposedForEquation5) {
   RoutedDesign d;
   GlobalRouter router(d.nl, d.positions, d.fp.core, RouteOptions{});
-  const RouteResult result = router.run();
+  const RouteResult result = router.try_run(fault::DegradePolicy{}).value();
   ASSERT_FALSE(result.edge_utilization.empty());
   // Top-1% congestion >= top-50% congestion >= 0.
   const double top1 = result.top_congestion(1.0);
@@ -110,9 +116,8 @@ TEST(GlobalRouter, RerouteReducesOverflow) {
   tight.v_capacity = 6;
   RouteOptions no_rrr = tight;
   no_rrr.rrr_rounds = 0;
-  const RouteResult base = GlobalRouter(d.nl, d.positions, d.fp.core, no_rrr).run();
-  const RouteResult improved =
-      GlobalRouter(d.nl, d.positions, d.fp.core, tight).run();
+  const RouteResult base = d.route(d.positions, no_rrr);
+  const RouteResult improved = d.route(d.positions, tight);
   EXPECT_LT(improved.total_overflow, base.total_overflow);
 }
 
@@ -120,8 +125,8 @@ TEST(GlobalRouter, ClockNetSkippedByDefault) {
   RoutedDesign d;
   RouteOptions with_clock;
   with_clock.route_clock_nets = true;
-  const RouteResult without = GlobalRouter(d.nl, d.positions, d.fp.core, RouteOptions{}).run();
-  const RouteResult with = GlobalRouter(d.nl, d.positions, d.fp.core, with_clock).run();
+  const RouteResult without = d.route(d.positions, RouteOptions{});
+  const RouteResult with = d.route(d.positions, with_clock);
   EXPECT_GT(with.wirelength_um, without.wirelength_um);
 }
 
@@ -135,8 +140,8 @@ TEST(GlobalRouter, SpreadPlacementRoutesLonger) {
     p = {rng.uniform(d.fp.core.lx, d.fp.core.ux),
          rng.uniform(d.fp.core.ly, d.fp.core.uy)};
   }
-  const RouteResult good = GlobalRouter(d.nl, d.positions, d.fp.core, RouteOptions{}).run();
-  const RouteResult bad = GlobalRouter(d.nl, random, d.fp.core, RouteOptions{}).run();
+  const RouteResult good = d.route(d.positions, RouteOptions{});
+  const RouteResult bad = d.route(random, RouteOptions{});
   EXPECT_LT(good.wirelength_um, bad.wirelength_um);
 }
 
