@@ -6,7 +6,7 @@
 /// Besides wall time, every kernel reports allocs/op and bytes/op measured
 /// through the counting operator new in alloc_count.cpp — the perf-regression
 /// harness watches both. `--json out.json` (conventionally BENCH_perf.json)
-/// writes a machine-readable report; tools/bench_diff.py compares two such
+/// writes a machine-readable report; tools/metric_diff.py compares two such
 /// reports and flags regressions.
 ///
 /// `--min-of N` (or env PPACD_BENCH_REPEATS=N) runs every kernel N times and

@@ -6,9 +6,9 @@
 /// so the comparison isolates the placement strategy: one 14-iteration
 /// incremental CG system over the whole netlist (monolithic) vs K small
 /// per-region systems plus a short stitch (sharded). Results are emitted as
-/// a ppacd-bench-perf-v1 report (--json, compare with tools/bench_diff.py)
+/// a ppacd-bench-perf-v1 report (--json, compare with tools/metric_diff.py)
 /// and one ppacd-qor-v1 ledger per arm (--qor-dir, gate the sharded arms
-/// against the monolithic ledger with tools/qor_diff.py --threshold 2).
+/// against the monolithic ledger with tools/metric_diff.py --threshold 2).
 ///
 /// Defaults are smoke-sized; the paper-scale run is
 ///   bench_sharded --design scale-1m --shards 1,2,4,8,16 --json ... --qor-dir ...
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
   bench::write_results(csv, "sharded");
   std::printf("\nTarget: >= 2x placement wall-clock at >= 1M instances with\n"
               "<= 2%% HPWL regression (gate the qor ledgers with\n"
-              "tools/qor_diff.py --threshold 2 --fail-on-regression).\n"
+              "tools/metric_diff.py --threshold 2 --fail-on-regression).\n"
               "Best arm meets speedup: %s, meets speedup+quality: %s\n",
               met_speedup ? "yes" : "no", met_quality ? "yes" : "no");
   if (!json_path.empty()) {

@@ -21,7 +21,7 @@
 namespace {
 
 /// One timed flow phase, reported in the same ppacd-bench-perf-v1 schema as
-/// bench_microkernels so tools/bench_diff.py can compare runs of either.
+/// bench_microkernels so tools/metric_diff.py can compare runs of either.
 struct PerfEntry {
   std::string name;
   double ns_per_op = 0.0;

@@ -57,7 +57,7 @@ void write_results(const util::CsvWriter& csv, const std::string& name) {
   }
   // Telemetry artifacts for the whole bench run so far: a metric/span summary
   // and a Chrome trace next to the table. Best-effort -- tables stay valid
-  // even if these fail (e.g. telemetry compiled out writes empty summaries).
+  // even if these fail.
   telemetry::write_summary("bench_results/" + name + ".report.json", name);
   telemetry::write_chrome_trace("bench_results/" + name + ".trace.json");
 }

@@ -3,15 +3,12 @@
 # shrunken design and asserts that (a) the run exits 0 — flow_cli exits 2
 # when any validator reports a violation — (b) the stdout summary reports
 # zero violations, and (c) the JSON run report carries the per-checker
-# "checks" section with every phase validator present. A build with
-# -DPPACD_TELEMETRY=OFF writes no run report, so (c) is skipped there.
+# "checks" section with every phase validator present.
 #
 # Inputs: -DFLOW_CLI=<path to flow_cli> -DWORK_DIR=<writable directory>
-#         -DPPACD_TELEMETRY=<ON|OFF, the build's setting>
 
-if(NOT DEFINED FLOW_CLI OR NOT DEFINED WORK_DIR OR NOT DEFINED PPACD_TELEMETRY)
-  message(FATAL_ERROR
-          "check_smoke: FLOW_CLI, WORK_DIR and PPACD_TELEMETRY must be defined")
+if(NOT DEFINED FLOW_CLI OR NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "check_smoke: FLOW_CLI and WORK_DIR must be defined")
 endif()
 
 set(report "${WORK_DIR}/check_smoke_report.json")
@@ -29,11 +26,6 @@ endif()
 string(FIND "${out}" "check violations: 0 (full level)" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "expected a zero-violation check summary, got:\n${out}")
-endif()
-
-if(NOT PPACD_TELEMETRY)
-  message(STATUS "check smoke OK (telemetry compiled out: no run report)")
-  return()
 endif()
 
 file(READ "${report}" report_text)

@@ -1,7 +1,7 @@
 # Flight-recorder smoke check (run via `cmake -P` from ctest, see
 # examples/CMakeLists.txt): drives flow_cli end-to-end with --observe/--qor
 # on a shrunken design, validates the event stream and QoR ledger, then
-# exercises the full tools/qor_diff.py exit-code contract (0 self-diff,
+# exercises the full tools/metric_diff.py exit-code contract (0 self-diff,
 # 1 regression with --fail-on-regression, 2 usage, 3 missing file, 4 bad
 # schema) and renders the HTML dashboard from the recorded stream.
 #
@@ -63,14 +63,15 @@ if(NOT PYTHON3)
   return()
 endif()
 
-set(qor_diff "${SOURCE_DIR}/tools/qor_diff.py")
+set(metric_diff "${SOURCE_DIR}/tools/metric_diff.py")
 
 # Exit 0: a ledger diffed against itself is regression-free.
 execute_process(
-  COMMAND "${PYTHON3}" "${qor_diff}" "${qor}" "${qor}" --fail-on-regression
+  COMMAND "${PYTHON3}" "${metric_diff}" "${qor}" "${qor}" --fail-on-regression
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "qor_diff self-diff: want exit 0, got ${rc}:\n${out}${err}")
+  message(FATAL_ERROR
+          "metric_diff self-diff: want exit 0, got ${rc}:\n${out}${err}")
 endif()
 
 # Exit 1: a 10x-worse HPWL must trip --fail-on-regression. Build the mutant
@@ -79,44 +80,48 @@ string(REGEX REPLACE "(\"hpwl_um\": )([0-9.eE+-]+)" "\\1999999999"
        worse_text "${qor_text}")
 file(WRITE "${WORK_DIR}/observe_smoke_worse.qor.json" "${worse_text}")
 execute_process(
-  COMMAND "${PYTHON3}" "${qor_diff}" "${qor}"
+  COMMAND "${PYTHON3}" "${metric_diff}" "${qor}"
           "${WORK_DIR}/observe_smoke_worse.qor.json" --fail-on-regression
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 1)
-  message(FATAL_ERROR "qor_diff regression: want exit 1, got ${rc}:\n${out}${err}")
+  message(FATAL_ERROR
+          "metric_diff regression: want exit 1, got ${rc}:\n${out}${err}")
 endif()
 # ... and without --fail-on-regression the same diff is advisory (exit 0).
 execute_process(
-  COMMAND "${PYTHON3}" "${qor_diff}" "${qor}"
+  COMMAND "${PYTHON3}" "${metric_diff}" "${qor}"
           "${WORK_DIR}/observe_smoke_worse.qor.json"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "qor_diff advisory: want exit 0, got ${rc}:\n${out}${err}")
+  message(FATAL_ERROR
+          "metric_diff advisory: want exit 0, got ${rc}:\n${out}${err}")
 endif()
 
 # Exit 2: bad flags are a usage error (argparse).
 execute_process(
-  COMMAND "${PYTHON3}" "${qor_diff}" --no-such-flag
+  COMMAND "${PYTHON3}" "${metric_diff}" --no-such-flag
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "qor_diff usage: want exit 2, got ${rc}")
+  message(FATAL_ERROR "metric_diff usage: want exit 2, got ${rc}")
 endif()
 
 # Exit 3: missing input file.
 execute_process(
-  COMMAND "${PYTHON3}" "${qor_diff}" "${WORK_DIR}/no_such_ledger.json" "${qor}"
+  COMMAND "${PYTHON3}" "${metric_diff}" "${WORK_DIR}/no_such_ledger.json"
+          "${qor}"
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 3)
-  message(FATAL_ERROR "qor_diff missing file: want exit 3, got ${rc}")
+  message(FATAL_ERROR "metric_diff missing file: want exit 3, got ${rc}")
 endif()
 
 # Exit 4: parses as JSON but is not a ppacd-qor-v1 ledger.
 file(WRITE "${WORK_DIR}/observe_smoke_bad.json" "{\"schema\": \"nope\"}")
 execute_process(
-  COMMAND "${PYTHON3}" "${qor_diff}" "${WORK_DIR}/observe_smoke_bad.json" "${qor}"
+  COMMAND "${PYTHON3}" "${metric_diff}" "${WORK_DIR}/observe_smoke_bad.json"
+          "${qor}"
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 4)
-  message(FATAL_ERROR "qor_diff bad schema: want exit 4, got ${rc}")
+  message(FATAL_ERROR "metric_diff bad schema: want exit 4, got ${rc}")
 endif()
 
 # Dashboard: one self-contained HTML file with inline SVG charts.

@@ -35,15 +35,14 @@
 /// --report writes the telemetry run report (flow config, phase timings,
 /// metric snapshot, PPA outcome, errors/degradations) as JSON; --trace
 /// writes a Chrome trace_event file loadable in chrome://tracing or
-/// https://ui.perfetto.dev. With a -DPPACD_TELEMETRY=OFF build both flags
-/// print a warning and write nothing (exit status unaffected).
+/// https://ui.perfetto.dev.
 /// --observe enables the flight recorder (src/observe) and writes the
 /// event stream (convergence samples, heatmaps, histograms; schema
 /// ppacd-observe-v1) to FILE (default observe_events.json) — feed it to
 /// tools/flow_dashboard.py for a static HTML dashboard. --qor writes the
 /// QoR ledger (schema ppacd-qor-v1; final PPA metrics + convergence
 /// summaries) to FILE (default bench_results/<design>.qor.json) — compare
-/// ledgers with tools/qor_diff.py.
+/// ledgers with tools/metric_diff.py.
 /// --check off|cheap|full runs the src/check invariant validators between
 /// flow phases; any violation is logged, reported, and makes the process
 /// exit with status 2 (so CI can gate on it).
@@ -255,16 +254,7 @@ int main(int argc, char** argv) {
   if (args.threads > 0) exec::set_thread_count(args.threads);
 
   // --- Flight recorder ---------------------------------------------------------
-  if (args.observe) {
-    if (observe::kCompiledIn) {
-      observe::recorder().set_enabled(true);
-    } else {
-      std::fprintf(stderr,
-                   "warning: built with -DPPACD_OBSERVE=OFF; --observe "
-                   "records nothing\n");
-      args.observe = false;
-    }
-  }
+  if (args.observe) observe::recorder().set_enabled(true);
 
   // --- Fault plan (CLI flag wins over the PPACD_FAULTS environment) -----------
   if (!args.fault_plan.empty()) {
@@ -333,7 +323,6 @@ int main(int argc, char** argv) {
     fault::record_error(error);
     std::fprintf(stderr, "flow error: %s at %s: %s\n", error.code.c_str(),
                  error.site.c_str(), error.message.c_str());
-#if !defined(PPACD_TELEMETRY_DISABLED)
     if (!args.report_json.empty()) {
       flow::RunReportInputs report;
       report.design =
@@ -342,7 +331,6 @@ int main(int argc, char** argv) {
       report.options = &options;
       flow::write_run_report(args.report_json, report);
     }
-#endif
     return 3;
   };
   auto result_or = flow::try_run(*design, options);
@@ -388,16 +376,6 @@ int main(int argc, char** argv) {
 
   const std::string design_name =
       design->name().empty() ? args.design : std::string(design->name());
-#if defined(PPACD_TELEMETRY_DISABLED)
-  // Graceful degrade: with telemetry compiled out there are no spans or
-  // metrics to serialize, so warn and skip instead of writing a file whose
-  // interesting sections would all be empty.
-  if (!args.report_json.empty() || !args.trace_json.empty()) {
-    std::fprintf(stderr,
-                 "warning: built with -DPPACD_TELEMETRY=OFF; --report/--trace "
-                 "write nothing\n");
-  }
-#else
   if (!args.report_json.empty()) {
     flow::RunReportInputs report;
     report.design = design_name;
@@ -420,7 +398,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-#endif
   if (args.observe) {
     if (observe::write_events(args.observe_path, design_name)) {
       std::printf("wrote %s\n", args.observe_path.c_str());

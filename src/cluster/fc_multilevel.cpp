@@ -74,7 +74,7 @@ struct UnionFind {
 
 FcResult fc_multilevel_cluster(const netlist::Netlist& nl,
                                const FcPpaInputs& ppa, const FcOptions& options) {
-  PPACD_SPAN(fc_span, "cluster.fc");
+  telemetry::TraceSpan fc_span("cluster.fc");
   // Flight recorder: per-level coarsening progress plus the final cluster
   // size distribution and cut quality. Everything here is serial.
   const bool observing = observe::active();
@@ -157,10 +157,10 @@ FcResult fc_multilevel_cluster(const netlist::Netlist& nl,
 
   for (int pass = 0; pass < options.max_levels; ++pass) {
     if (level.vertex_count <= target) break;
-    PPACD_SPAN(level_span, "cluster.fc.level");
-    PPACD_SPAN_ATTR(level_span, "level", pass);
-    PPACD_SPAN_ATTR(level_span, "vertices", level.vertex_count);
-    PPACD_SPAN_ATTR(level_span, "edges", level.edge_count());
+    telemetry::TraceSpan level_span("cluster.fc.level");
+    level_span.attr("level", pass);
+    level_span.attr("vertices", level.vertex_count);
+    level_span.attr("edges", level.edge_count());
     level.rebuild_incidence();
 
     // Per-level switching costs (Eq. 2 over the surviving edges).
@@ -227,8 +227,8 @@ FcResult fc_multilevel_cluster(const netlist::Netlist& nl,
     const double match_rate =
         static_cast<double>(merges) / static_cast<double>(level.vertex_count);
     PPACD_HIST("cluster.fc.match_rate", match_rate);
-    PPACD_SPAN_ATTR(level_span, "merges", merges);
-    PPACD_SPAN_ATTR(level_span, "match_rate", match_rate);
+    level_span.attr("merges", merges);
+    level_span.attr("match_rate", match_rate);
     if (observing) {
       observe::recorder().record(
           observe::Stream::kClusterLevel, obs_level_series, pass, 0,
@@ -396,9 +396,9 @@ FcResult fc_multilevel_cluster(const netlist::Netlist& nl,
               static_cast<std::int64_t>(rating.resets() + seen.resets()));
   PPACD_GAUGE_SET("cluster.fc.clusters", result.cluster_count);
   PPACD_GAUGE_SET("cluster.fc.singletons", result.singleton_count);
-  PPACD_SPAN_ATTR(fc_span, "clusters", result.cluster_count);
-  PPACD_SPAN_ATTR(fc_span, "levels", result.levels);
-  PPACD_SPAN_ATTR(fc_span, "singletons", result.singleton_count);
+  fc_span.attr("clusters", result.cluster_count);
+  fc_span.attr("levels", result.levels);
+  fc_span.attr("singletons", result.singleton_count);
   PPACD_LOG_DEBUG("fc") << nl.name() << ": " << result.cluster_count
                         << " clusters in " << result.levels << " levels, "
                         << result.singleton_count << " singletons";

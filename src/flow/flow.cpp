@@ -40,10 +40,10 @@ namespace {
 template <typename MakeResult>
 void run_check(const FlowOptions& options, MakeResult&& make_result) {
   if (options.check_level == check::CheckLevel::kOff) return;
-  PPACD_SPAN(span, "flow.check");
+  telemetry::TraceSpan span("flow.check");
   const check::CheckResult result = make_result(options.check_level);
-  PPACD_SPAN_ATTR(span, "checker", result.checker);
-  PPACD_SPAN_ATTR(span, "violations", result.total_violations);
+  span.attr("checker", result.checker);
+  span.attr("violations", result.total_violations);
   check::report(result);
 }
 
@@ -72,7 +72,7 @@ fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
       std::vector<double> theta;
       hier::HierClusteringResult hier_result;
       {
-        PPACD_SPAN(span, "flow.extract");
+        telemetry::TraceSpan span("flow.extract");
         sta::StaOptions sta_options;
         sta_options.clock_period_ps = options.clock_period_ps;
         sta::Sta sta(nl, sta_options);
@@ -95,7 +95,7 @@ fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
         if (nl.has_hierarchy()) {
           hier_result = hier::hierarchy_clustering(nl);
         }
-        PPACD_SPAN_ATTR(span, "hier_clusters", hier_result.cluster_count);
+        span.attr("hier_clusters", hier_result.cluster_count);
       }
       cluster::FcPpaInputs inputs;
       if (!timing_cost.empty()) inputs.net_timing_cost = &timing_cost;
@@ -214,7 +214,7 @@ fault::Expected<void, fault::FlowError> apply_shapes(
 /// centroids). Updates positions and HPWL in `result`.
 void run_timing_optimization(netlist::Netlist& nl, const place::Floorplan& fp,
                              const FlowOptions& options, FlowResult& result) {
-  PPACD_SPAN(span, "flow.timing_opt");
+  telemetry::TraceSpan span("flow.timing_opt");
   span.anchor();
   opt::BufferingOptions buffering;
   opt::buffer_high_fanout(nl, result.place.positions, buffering);
@@ -250,7 +250,7 @@ try_cluster_and_shape(const netlist::Netlist& nl, const FlowOptions& options,
                       PlaceOutcome& outcome) {
   cluster::ClusteredNetlist clustered;
   {
-    PPACD_SPAN(span, "flow.cluster");
+    telemetry::TraceSpan span("flow.cluster");
     span.anchor();
     util::ScopedTimer timer(outcome.clustering_seconds);
     auto clustering = run_clustering(nl, options);
@@ -260,22 +260,22 @@ try_cluster_and_shape(const netlist::Netlist& nl, const FlowOptions& options,
     outcome.cluster_count = clustering.value().count;
     clustered = cluster::build_clustered_netlist(
         nl, clustering.value().assignment, outcome.cluster_count);
-    PPACD_SPAN_ATTR(span, "method", to_string(options.cluster_method));
-    PPACD_SPAN_ATTR(span, "clusters", outcome.cluster_count);
+    span.attr("method", to_string(options.cluster_method));
+    span.attr("clusters", outcome.cluster_count);
   }
   run_check(options, [&](check::CheckLevel level) {
     return check::check_clustering(nl, clustered, level);
   });
 
-  PPACD_SPAN(span, "flow.shape");
+  telemetry::TraceSpan span("flow.shape");
   span.anchor();
   util::ScopedTimer timer(outcome.shaping_seconds);
   auto shaped = apply_shapes(nl, clustered, options, outcome);
   if (!shaped.has_value()) {
     return fault::Unexpected<fault::FlowError>(std::move(shaped).error());
   }
-  PPACD_SPAN_ATTR(span, "mode", to_string(options.shape_mode));
-  PPACD_SPAN_ATTR(span, "shaped", outcome.shaped_clusters);
+  span.attr("mode", to_string(options.shape_mode));
+  span.attr("shaped", outcome.shaped_clusters);
   return clustered;
 }
 
@@ -290,7 +290,7 @@ struct ClusterSeed {
 fault::Expected<ClusterSeed, fault::FlowError> try_seed_place(
     const netlist::Netlist& nl, const cluster::ClusteredNetlist& clustered,
     const place::Floorplan& fp, const FlowOptions& options) {
-  PPACD_SPAN(span, "flow.seed_place");
+  telemetry::TraceSpan span("flow.seed_place");
   span.anchor();
   const double io_scale =
       options.tool == Tool::kOpenRoadLike ? options.io_weight_scale : 1.0;
@@ -310,7 +310,7 @@ fault::Expected<ClusterSeed, fault::FlowError> try_seed_place(
     fault::record_degradation({"place.solve", placed.value().degrade_code,
                                "early-stop", "cluster seed placement"});
   }
-  PPACD_SPAN_ATTR(span, "iterations", placed.value().iterations);
+  span.attr("iterations", placed.value().iterations);
 
   ClusterSeed seed;
   seed.clusters = std::move(placed).value().placement;
@@ -429,7 +429,7 @@ fault::Expected<std::vector<geom::Point>, fault::FlowError> try_place(
     const netlist::Netlist& nl, const place::Floorplan& fp,
     const cluster::ClusteredNetlist& clustered, const ClusterSeed& seed,
     const FlowOptions& options, PlaceOutcome& outcome) {
-  PPACD_SPAN(span, place_span_name(options.strategy));
+  telemetry::TraceSpan span(place_span_name(options.strategy));
   span.anchor();
   place::PlaceModel model = place::make_place_model(nl, fp);
   auto placed = try_solve(nl, fp, clustered, seed, options, model, outcome);
@@ -448,12 +448,12 @@ fault::Expected<std::vector<geom::Point>, fault::FlowError> try_place(
     return check::check_placement(model, legal.placement, level);
   });
   if (options.strategy == PlaceStrategy::kSharded) {
-    PPACD_SPAN_ATTR(span, "shards", outcome.shard_count);
-    PPACD_SPAN_ATTR(span, "fallbacks", outcome.shard_fallbacks);
+    span.attr("shards", outcome.shard_count);
+    span.attr("fallbacks", outcome.shard_fallbacks);
   } else {
-    PPACD_SPAN_ATTR(span, "iterations", placed.value().iterations);
+    span.attr("iterations", placed.value().iterations);
   }
-  PPACD_SPAN_ATTR(span, "overflow", placed.value().overflow);
+  span.attr("overflow", placed.value().overflow);
   return place::cell_positions(nl, legal.placement);
 }
 
@@ -516,7 +516,7 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
   }
   route::RouteResult routed;
   {
-    PPACD_SPAN(span, "flow.route");
+    telemetry::TraceSpan span("flow.route");
     span.anchor();
     // Top-level evaluation: stream router progress to the flight recorder
     // (nested shape-sweep routers keep the default, silent).
@@ -534,8 +534,8 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
       fault::record_degradation({"route.maze", "route-maze-failed",
                                  "partial-routes", detail.str()});
     }
-    PPACD_SPAN_ATTR(span, "overflow_edges", routed.overflow_edges);
-    PPACD_SPAN_ATTR(span, "wirelength_um", routed.wirelength_um);
+    span.attr("overflow_edges", routed.overflow_edges);
+    span.attr("wirelength_um", routed.wirelength_um);
   }
   run_check(options, [&](check::CheckLevel level) {
     return check::check_routing(nl, positions, box.rect(), routed,
@@ -545,16 +545,16 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
 
   cts::ClockTreeResult tree;
   {
-    PPACD_SPAN(span, "flow.cts");
+    telemetry::TraceSpan span("flow.cts");
     span.anchor();
     tree = cts::synthesize_clock_tree(nl, positions, options.cts);
-    PPACD_SPAN_ATTR(span, "buffers", tree.buffer_count);
-    PPACD_SPAN_ATTR(span, "skew_ps", tree.max_skew_ps);
+    span.attr("buffers", tree.buffer_count);
+    span.attr("skew_ps", tree.max_skew_ps);
   }
   out.clock_skew_ps = tree.max_skew_ps;
   out.rwl_um = routed.wirelength_um + tree.wirelength_um;
 
-  PPACD_SPAN(sta_span, "flow.sta");
+  telemetry::TraceSpan sta_span("flow.sta");
   sta_span.anchor();
   sta::StaOptions sta_options;
   sta_options.clock_period_ps = options.clock_period_ps;
@@ -576,8 +576,8 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
   } else {
     return fault::Unexpected<fault::FlowError>(std::move(sta_run).error());
   }
-  PPACD_SPAN_ATTR(sta_span, "wns_ps", out.wns_ps);
-  PPACD_SPAN_ATTR(sta_span, "tns_ns", out.tns_ns);
+  sta_span.attr("wns_ps", out.wns_ps);
+  sta_span.attr("tns_ns", out.tns_ns);
 
   // Power: data nets from HPWL parasitics; the clock from the synthesized
   // tree (its switched capacitance replaces the flat clock net's HPWL cap).

@@ -3,8 +3,8 @@
 /// (`ppacd-qor-v1`) combining a flow's final PPA metrics with convergence
 /// summaries distilled from the flight-recorder event stream (src/observe).
 ///
-/// The ledger is the quality twin of the perf records bench_diff.py
-/// consumes: `tools/qor_diff.py` compares two ledgers metric-by-metric with
+/// The ledger is the quality twin of the ppacd-bench-perf-v1 perf records:
+/// `tools/metric_diff.py` compares two of either kind metric-by-metric with
 /// per-metric improvement directions and gates regressions in CI
 /// (the `qor-gate` job diffs against bench/BENCH_qor_baseline.json).
 #pragma once
@@ -23,8 +23,8 @@ namespace ppacd::flow {
 ///     "convergence": { iterations-to-tolerance, overflow half-life,
 ///                      slack percentiles ... } }
 /// Convergence entries are distilled from the flight recorder's current
-/// streams; when the recorder is off (or compiled out) they are simply
-/// absent and qor_diff.py reports them as added/removed, not as errors.
+/// streams; when the recorder is off they are simply absent and
+/// metric_diff.py reports them as added/removed, not as errors.
 telemetry::Json qor_json(std::string_view design, std::string_view flow_name,
                          const FlowResult& result);
 

@@ -207,7 +207,7 @@ telemetry::Json run_report_json(const RunReportInputs& inputs) {
   if (inputs.ppa != nullptr) out.set("ppa", ppa_json(*inputs.ppa));
   // Flight-recorder event stream (folded in only when the recorder captured
   // anything, so reports stay unchanged for observe-off runs).
-  if (observe::kCompiledIn && observe::recorder().enabled()) {
+  if (observe::active()) {
     out.set("observe", observe::recorder().to_json(inputs.design));
   }
   return out;

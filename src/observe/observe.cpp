@@ -46,32 +46,28 @@ bool env_default_enabled() {
          !(env[0] == '0' && env[1] == '\0');
 }
 
-/// Fixed-capacity ring of samples owned by one thread. Only the owning
-/// thread writes; snapshots read under the registry mutex while no parallel
-/// region is emitting (the flow snapshots between phases / at the end).
-struct ThreadRing {
-  std::vector<Sample> slots;
-  std::size_t next = 0;        ///< insertion cursor
-  std::size_t size = 0;        ///< live samples (<= slots.size())
-  std::int64_t overwritten = 0;
+/// Keeps the `count` highest-keyed samples (in no particular order).
+void keep_highest(std::vector<Sample>& samples, std::size_t count) {
+  if (samples.size() <= count) return;
+  const auto cut =
+      samples.begin() + static_cast<std::ptrdiff_t>(samples.size() - count);
+  std::nth_element(samples.begin(), cut, samples.end(), sample_less);
+  samples.erase(samples.begin(), cut);
+}
+
+/// The samples one thread recorded. Only the owning thread writes; snapshots
+/// and reset() touch it under the registry mutex while no parallel region is
+/// emitting (the flow snapshots between phases / at the end). It keeps the
+/// thread's highest keys, not its newest inserts: which samples survive
+/// must not depend on how emit order was split across threads.
+struct ThreadSamples {
+  std::vector<Sample> samples;
+  std::int64_t recorded = 0;
 
   void push(const Sample& sample, std::size_t capacity) {
-    if (slots.size() != capacity) {
-      // First use, or capacity changed between runs: restart this ring.
-      slots.assign(capacity, Sample{});
-      next = 0;
-      size = 0;
-    }
-    if (size == capacity) ++overwritten;
-    slots[next] = sample;
-    next = (next + 1) % capacity;
-    size = std::min(size + 1, capacity);
-  }
-
-  void clear() {
-    next = 0;
-    size = 0;
-    overwritten = 0;
+    ++recorded;
+    samples.push_back(sample);
+    if (samples.size() >= 2 * capacity) keep_highest(samples, capacity);
   }
 };
 
@@ -80,14 +76,12 @@ struct ThreadRing {
 struct Recorder::Impl {
   std::atomic<bool> enabled{env_default_enabled()};
   std::atomic<std::size_t> capacity{std::size_t{1} << 15};
-  std::atomic<int> stride{1};
   std::atomic<std::int64_t> frames_dropped{0};
 
-  mutable std::mutex mutex;  ///< guards rings registry, frames, series
-  std::vector<std::unique_ptr<ThreadRing>> rings;
+  mutable std::mutex mutex;  ///< guards the buffer registry, frames, series
+  std::vector<std::unique_ptr<ThreadSamples>> buffers;
   std::deque<Frame> frames;
   std::int32_t next_series[static_cast<std::size_t>(Stream::kStreamCount)] = {};
-  std::uint64_t generation = 1;  ///< bumped by reset(); stale rings restart
 };
 
 Recorder::Impl& Recorder::impl() const {
@@ -117,14 +111,6 @@ void Recorder::set_capacity(std::size_t capacity) {
                         std::memory_order_relaxed);
 }
 
-int Recorder::sample_stride() const {
-  return impl().stride.load(std::memory_order_relaxed);
-}
-
-void Recorder::set_sample_stride(int stride) {
-  impl().stride.store(std::max(1, stride), std::memory_order_relaxed);
-}
-
 std::int32_t Recorder::begin_series(Stream stream) {
   Impl& state = impl();
   std::lock_guard<std::mutex> lock(state.mutex);
@@ -133,30 +119,22 @@ std::int32_t Recorder::begin_series(Stream stream) {
 
 namespace {
 
-/// Per-thread ring plus the reset generation it was registered under.
-struct ThreadRingRef {
-  ThreadRing* ring = nullptr;
-  std::uint64_t generation = 0;
-};
-
-thread_local ThreadRingRef t_ring;
+/// The calling thread's buffer, registered on its first record(). reset()
+/// clears it in place, so the pointer stays valid for the process.
+thread_local ThreadSamples* t_samples = nullptr;
 
 }  // namespace
 
 void Recorder::record(Stream stream, std::int32_t series, std::int64_t index,
                       std::int64_t sub, std::initializer_list<double> values) {
   Impl& state = impl();
-  // Emit sites gate on active()/want() already; this keeps the contract (a
+  // Emit sites gate on active() already; this keeps the contract (a
   // disabled recorder records nothing) even for direct API callers.
   if (!state.enabled.load(std::memory_order_relaxed)) return;
-  // reset() bumps the generation; a thread that cached a ring from before
-  // the reset re-registers (its old ring was cleared, not freed, so the
-  // stale pointer is never dangling — re-registration just re-reads it).
-  if (t_ring.ring == nullptr || t_ring.generation != state.generation) {
+  if (t_samples == nullptr) {
     std::lock_guard<std::mutex> lock(state.mutex);
-    state.rings.push_back(std::make_unique<ThreadRing>());
-    t_ring.ring = state.rings.back().get();
-    t_ring.generation = state.generation;
+    state.buffers.push_back(std::make_unique<ThreadSamples>());
+    t_samples = state.buffers.back().get();
   }
   Sample sample;
   sample.stream = static_cast<std::int32_t>(stream);
@@ -167,7 +145,7 @@ void Recorder::record(Stream stream, std::int32_t series, std::int64_t index,
     if (sample.count >= 4) break;
     sample.values[sample.count++] = v;
   }
-  t_ring.ring->push(sample, capacity());
+  t_samples->push(sample, capacity());
 }
 
 void Recorder::record_frame(Stream stream, std::int32_t series,
@@ -195,21 +173,15 @@ std::vector<Sample> Recorder::merged_samples() const {
   std::vector<Sample> merged;
   {
     std::lock_guard<std::mutex> lock(state.mutex);
-    for (const auto& ring : state.rings) {
-      for (std::size_t i = 0; i < ring->size; ++i) {
-        merged.push_back(ring->slots[i]);
-      }
+    for (const auto& buffer : state.buffers) {
+      merged.insert(merged.end(), buffer->samples.begin(),
+                    buffer->samples.end());
     }
   }
+  // Every one of the overall highest keys is among its own thread's highest
+  // keys, so this is the same set at any thread count.
+  keep_highest(merged, capacity());
   std::sort(merged.begin(), merged.end(), sample_less);
-  // Ring semantics across the merge too: when the union exceeds the
-  // capacity, drop the lowest keys (the oldest logical indices) so the
-  // retained set is a pure function of the keys, not the thread count.
-  const std::size_t cap = capacity();
-  if (merged.size() > cap) {
-    merged.erase(merged.begin(),
-                 merged.begin() + static_cast<std::ptrdiff_t>(merged.size() - cap));
-  }
   return merged;
 }
 
@@ -221,20 +193,31 @@ std::vector<Frame> Recorder::frames() const {
 
 std::int64_t Recorder::dropped() const {
   Impl& state = impl();
-  std::int64_t total = state.frames_dropped.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(state.mutex);
-  for (const auto& ring : state.rings) total += ring->overwritten;
-  return total;
+  std::int64_t recorded = 0;
+  std::size_t retained = 0;
+  {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    for (const auto& buffer : state.buffers) {
+      recorded += buffer->recorded;
+      retained += buffer->samples.size();
+    }
+  }
+  // merged_samples() keeps min(retained, capacity) of them.
+  const auto kept = static_cast<std::int64_t>(std::min(retained, capacity()));
+  return recorded - kept +
+         state.frames_dropped.load(std::memory_order_relaxed);
 }
 
 void Recorder::reset() {
   Impl& state = impl();
   std::lock_guard<std::mutex> lock(state.mutex);
-  for (auto& ring : state.rings) ring->clear();
+  for (auto& buffer : state.buffers) {
+    buffer->samples.clear();
+    buffer->recorded = 0;
+  }
   state.frames.clear();
   state.frames_dropped.store(0, std::memory_order_relaxed);
   std::fill(std::begin(state.next_series), std::end(state.next_series), 0);
-  ++state.generation;
 }
 
 telemetry::Json Recorder::to_json(std::string_view label) const {
@@ -242,7 +225,6 @@ telemetry::Json Recorder::to_json(std::string_view label) const {
   Json out = Json::object();
   out.set("schema", "ppacd-observe-v1");
   out.set("label", label);
-  out.set("sample_stride", sample_stride());
   out.set("dropped", dropped());
 
   Json samples = Json::array();

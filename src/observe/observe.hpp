@@ -12,21 +12,18 @@
 /// cluster size/cut-quality distributions.
 ///
 /// Design constraints (all load-bearing, see DESIGN.md section 13):
-///   * Bounded memory: every per-thread buffer is a fixed-capacity ring
-///     (oldest samples overwritten, drops counted); variable-size payloads
-///     (heatmaps, histograms) go into a separate bounded frame store.
-///   * Deterministic: sampling is every-Nth by *logical index* (iteration,
-///     round, level — never wall time or RNG), so the recorded set is
-///     seed- and thread-count-independent. Each sample carries an explicit
-///     sort key (stream, series, index, sub) assigned at the emit site;
-///     merged_samples() orders by that key, so the merged stream is
-///     bit-identical at 1 and 8 threads (the PR 3 exec contract: order by
-///     logical index, never by thread id or completion time).
-///   * Zero cost when off: recording is gated on enabled() (a relaxed
-///     atomic load); building with -DPPACD_OBSERVE=OFF defines
-///     PPACD_OBSERVE_DISABLED which turns active() into a compile-time
-///     `false`, dead-coding every instrumentation block. The classes stay
-///     available either way so tools and tests keep linking.
+///   * Bounded memory: each thread keeps at most 2 * capacity() samples,
+///     trimmed to its highest capacity() keys (drops counted); variable-size
+///     payloads (heatmaps, histograms) go into a separate bounded frame
+///     store.
+///   * Deterministic: each sample carries an explicit sort key (stream,
+///     series, index, sub) assigned at the emit site from logical indices
+///     (iteration, round, level — never wall time, RNG or thread id).
+///     Which samples survive and in what order they merge depend on those
+///     keys alone, so the merged stream is bit-identical at any thread
+///     count (the exec contract: order by logical index, never by thread id
+///     or completion time).
+///   * Cheap when off: emit sites gate on active(), one relaxed atomic load.
 ///   * No feedback: the recorder is write-only for the solvers. Nothing a
 ///     hot loop computes may depend on recorder state, so the golden flow
 ///     hashes in determinism_test are unchanged with observe on or off.
@@ -48,14 +45,14 @@ namespace ppacd::observe {
 enum class Stream : std::int32_t {
   kPlaceIter = 0,   ///< per placer outer iteration: hpwl, overflow,
                     ///< anchor (density-penalty) weight, spread displacement
-  kPlaceCg,         ///< per (sampled) CG iteration: relative residual;
+  kPlaceCg,         ///< per CG iteration: relative residual;
                     ///< sub == -1 carries {iters_run, final_residual}
-  kRouteBatch,      ///< per (sampled) initial-routing batch: nets committed,
+  kRouteBatch,      ///< per initial-routing batch: nets committed,
                     ///< cumulative nets, overflowed edges so far
   kRouteRound,      ///< per rip-up round: overflowed edges, victims,
                     ///< total overflow
   kRouteHeatmap,    ///< frame: binned congestion grid after each round
-  kStaLevel,        ///< per (sampled) topological level: sweep width
+  kStaLevel,        ///< per topological level: sweep width
   kStaSlack,        ///< frame: end-of-run endpoint slack histogram
                     ///< (layout: [lo_ps, hi_ps, count_0 .. count_{n-1}])
   kVprCandidate,    ///< per shape candidate: total/hpwl/congestion cost
@@ -96,8 +93,9 @@ struct Frame {
 };
 
 /// Process-wide recorder. Thread-safe: each thread appends to its own
-/// ring buffer (registered on first use under a mutex); snapshots merge
-/// the rings in deterministic key order.
+/// buffer (registered on first use under a mutex, then written without a
+/// lock and kept for the life of the process); snapshots merge the buffers
+/// in deterministic key order.
 class Recorder {
  public:
   /// Runtime collection switch. Defaults to the PPACD_OBSERVE environment
@@ -106,32 +104,20 @@ class Recorder {
   bool enabled() const;
   void set_enabled(bool enabled);
 
-  /// Per-thread ring capacity in samples (default 1 << 15). Total memory is
-  /// bounded by threads * capacity * sizeof(Sample); merged_samples() also
-  /// trims to `capacity` entries (highest keys kept), so the exported
-  /// stream is bounded regardless of thread count.
+  /// Samples kept (default 1 << 15): the `capacity` highest keys recorded.
+  /// Each thread trims its buffer to its own highest `capacity` keys when
+  /// it reaches 2 * capacity, so memory is bounded by
+  /// threads * 2 * capacity * sizeof(Sample).
   std::size_t capacity() const;
   void set_capacity(std::size_t capacity);
-
-  /// Deterministic every-Nth sampling stride (default 1 = every event).
-  /// Applies to the high-frequency streams via want(); frames and
-  /// low-frequency per-round samples are always recorded.
-  int sample_stride() const;
-  void set_sample_stride(int stride);
-
-  /// True when recording is on and `index` falls on the sampling stride.
-  /// The decision is a pure function of the logical index.
-  bool want(std::int64_t index) const {
-    return enabled() && index % sample_stride() == 0;
-  }
 
   /// Begins a new series of `stream`: returns a per-stream sequence number.
   /// Call from serial context only (the flow phases are serial), so series
   /// ids are assigned in deterministic order.
   std::int32_t begin_series(Stream stream);
 
-  /// Appends one sample to the calling thread's ring (oldest overwritten
-  /// when full). `values` is truncated to 4 entries.
+  /// Appends one sample to the calling thread's buffer. `values` is
+  /// truncated to 4 entries.
   void record(Stream stream, std::int32_t series, std::int64_t index,
               std::int64_t sub, std::initializer_list<double> values);
 
@@ -141,26 +127,25 @@ class Recorder {
                     std::int32_t nx, std::int32_t ny,
                     std::vector<double> values);
 
-  /// All retained samples merged across threads, sorted by
-  /// (stream, series, index, sub) and trimmed to capacity() (highest keys
-  /// kept — ring semantics: the most recent samples survive). The result is
-  /// identical for any thread count as long as emit sites used
-  /// deterministic keys.
+  /// The capacity() highest-keyed samples recorded on any thread, sorted by
+  /// (stream, series, index, sub). The result is identical for any thread
+  /// count as long as emit sites used deterministic, unique keys.
   std::vector<Sample> merged_samples() const;
 
   /// All retained frames in emission order.
   std::vector<Frame> frames() const;
 
-  /// Samples overwritten in rings plus frames dropped from the store.
+  /// Samples recorded but not in merged_samples(), plus frames dropped
+  /// from the store.
   std::int64_t dropped() const;
 
   /// Clears samples, frames, series counters, and the drop count. Does not
-  /// change enabled/capacity/stride.
+  /// change enabled/capacity.
   void reset();
 
   /// Full export:
-  ///   { "schema": "ppacd-observe-v1", "label": ..., "sample_stride": ...,
-  ///     "dropped": ..., "samples": [...], "frames": [...] }
+  ///   { "schema": "ppacd-observe-v1", "label": ..., "dropped": ...,
+  ///     "samples": [...], "frames": [...] }
   telemetry::Json to_json(std::string_view label) const;
 
   static constexpr std::size_t kMaxFrames = 64;
@@ -176,22 +161,8 @@ Recorder& recorder();
 /// Writes recorder().to_json(label) to `path`; false on I/O error.
 bool write_events(const std::string& path, std::string_view label);
 
-#if defined(PPACD_OBSERVE_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /// Gate for instrumentation blocks:
 ///   if (observe::active()) { ... compute + record ... }
-/// With -DPPACD_OBSERVE=OFF this is a compile-time `false`, so the whole
-/// block (including any observation-only computation) is dead-coded.
-inline bool active() {
-  if constexpr (!kCompiledIn) {
-    return false;
-  } else {
-    return recorder().enabled();
-  }
-}
+inline bool active() { return recorder().enabled(); }
 
 }  // namespace ppacd::observe

@@ -264,10 +264,8 @@ void solve_cg(const QuadSystem& system, std::vector<double>& x, int max_iters,
   }
   observe::Recorder& rec = observe::recorder();
   for (int i = 0; i < logged; ++i) {
-    if (rec.want(i)) {
-      rec.record(observe::Stream::kPlaceCg, obs_series, obs_index, i,
-                 {resid_log[static_cast<std::size_t>(i)]});
-    }
+    rec.record(observe::Stream::kPlaceCg, obs_series, obs_index, i,
+               {resid_log[static_cast<std::size_t>(i)]});
   }
   rec.record(observe::Stream::kPlaceCg, obs_series, obs_index, -1,
              {static_cast<double>(iters_run),
@@ -831,7 +829,7 @@ PlaceResult GlobalPlacer::optimize(Placement positions, int iterations,
   std::string degrade_code;
   int iter = 0;
   for (; iter < iterations; ++iter) {
-    PPACD_SPAN_IF(iter_span, "place.gp.iter", options_.trace_iterations);
+    telemetry::TraceSpan iter_span("place.gp.iter", options_.trace_iterations);
     // Fault site `place.solve`, keyed by outer-iteration index. error /
     // timeout stop the run with the best placement so far; poison models a
     // solver that produced non-finite coordinates (revert to the last
@@ -893,9 +891,9 @@ PlaceResult GlobalPlacer::optimize(Placement positions, int iterations,
     PPACD_GAUGE_SET("place.gp.overflow", overflow);
     PPACD_GAUGE_SET("place.gp.hpwl", hpwl);
     PPACD_HIST("place.gp.iter_overflow", overflow);
-    PPACD_SPAN_ATTR(iter_span, "iter", iter);
-    PPACD_SPAN_ATTR(iter_span, "overflow", overflow);
-    PPACD_SPAN_ATTR(iter_span, "hpwl", hpwl);
+    iter_span.attr("iter", iter);
+    iter_span.attr("overflow", overflow);
+    iter_span.attr("hpwl", hpwl);
     PPACD_LOG_DEBUG("place") << "iter " << iter << " overflow " << overflow
                              << " hpwl " << hpwl;
     if (overflow < options_.target_overflow && iter + 1 >= options_.min_iterations) {

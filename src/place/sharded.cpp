@@ -153,7 +153,7 @@ fault::Expected<ShardedPlaceResult, fault::FlowError> try_place_sharded(
   const int shard_count = partition.shard_count();
   PPACD_CHECK(shard_count >= 1, "partition has no regions");
 
-  PPACD_SPAN(span, "place.sharded");
+  telemetry::TraceSpan span("place.sharded");
   span.anchor();
 
   // --- Extraction (serial): carve per-shard object and net slices -----------
@@ -407,8 +407,8 @@ fault::Expected<ShardedPlaceResult, fault::FlowError> try_place_sharded(
                 static_cast<double>(fallbacks)});
   }
 
-  PPACD_SPAN_ATTR(span, "shards", shard_count);
-  PPACD_SPAN_ATTR(span, "hpwl_um", result.hpwl_um);
+  span.attr("shards", shard_count);
+  span.attr("hpwl_um", result.hpwl_um);
   return result;
 }
 

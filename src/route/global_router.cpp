@@ -562,12 +562,11 @@ fault::Expected<RouteResult, fault::FlowError> GlobalRouter::run_impl(
     for (std::size_t i = base; i < batch_end; ++i) {
       commit(routes[i].edges, +1);
     }
-    const std::int64_t batch_index =
-        static_cast<std::int64_t>(base / kRouteBatch);
-    if (observing && observe::recorder().want(batch_index)) {
+    if (observing) {
       const auto [over_edges, total_over] = overflow_now();
       observe::recorder().record(
-          observe::Stream::kRouteBatch, obs_batch_series, batch_index, 0,
+          observe::Stream::kRouteBatch, obs_batch_series,
+          static_cast<std::int64_t>(base / kRouteBatch), 0,
           {static_cast<double>(batch_end - base),
            static_cast<double>(batch_end), static_cast<double>(over_edges),
            total_over});

@@ -252,8 +252,7 @@ void Sta::propagate_arrivals() {
   std::int32_t* PPACD_RESTRICT wf = worst_fanin_.data();
   for (std::size_t l = 1; l < level_buckets_.rows(); ++l) {
     const std::span<const netlist::PinId> bucket = level_buckets_.row(l);
-    if (observing &&
-        observe::recorder().want(static_cast<std::int64_t>(l))) {
+    if (observing) {
       observe::recorder().record(observe::Stream::kStaLevel, obs_series,
                                  static_cast<std::int64_t>(l), 0,
                                  {static_cast<double>(bucket.size())});

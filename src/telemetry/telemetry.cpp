@@ -211,8 +211,6 @@ SpanStore& span_store() {
   return store;
 }
 
-std::atomic<bool> g_enabled{true};
-
 std::chrono::steady_clock::time_point epoch() {
   static const auto start = std::chrono::steady_clock::now();
   return start;
@@ -257,14 +255,8 @@ double now_us() {
       .count();
 }
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool value) {
-  g_enabled.store(value, std::memory_order_relaxed);
-}
-
 TraceSpan::TraceSpan(std::string_view name, bool active) {
-  if (!active || !enabled()) return;
+  if (!active) return;
   const double start = now_us();
   // Resolve the thread id before locking: its first-use initializer takes the
   // store mutex itself, and std::mutex is not recursive.

@@ -13,9 +13,6 @@
 ///   * Exportable: spans serialize as a human-readable tree and as Chrome
 ///     `trace_event` JSON loadable in chrome://tracing; metrics snapshot to
 ///     JSON for the per-run report (see flow/report.hpp).
-///   * Compile-out: building with -DPPACD_TELEMETRY=OFF defines
-///     PPACD_TELEMETRY_DISABLED and turns every PPACD_* macro below into a
-///     no-op; the classes stay available so tools/tests still link.
 ///
 /// Metric naming scheme: `phase.subsystem.name` (e.g. `place.gp.overflow`,
 /// `cluster.fc.merges`, `route.rrr.rounds`); see DESIGN.md "Observability".
@@ -186,22 +183,6 @@ class TraceSpan {
   std::uint64_t generation_ = 0;
 };
 
-/// Stand-in for TraceSpan when telemetry is compiled out.
-class NullSpan {
- public:
-  explicit NullSpan(std::string_view) {}
-  NullSpan(std::string_view, bool) {}
-  template <typename V>
-  void attr(std::string_view, const V&) {}
-  void anchor() {}
-};
-
-/// Runtime collection switch (default on). Disabling stops new spans and
-/// metric *macro* updates are unaffected (they stay cheap); use the compile
-/// flag to remove those too.
-bool enabled();
-void set_enabled(bool enabled);
-
 /// Microseconds since the process telemetry epoch (first telemetry use).
 double now_us();
 
@@ -232,38 +213,9 @@ Json summary_json(std::string_view label);
 bool write_summary(const std::string& path, std::string_view label);
 
 // ---------------------------------------------------------------------------
-// Instrumentation macros (compile out with -DPPACD_TELEMETRY=OFF)
+// Metric macros
 // ---------------------------------------------------------------------------
 
-#if defined(PPACD_TELEMETRY_DISABLED)
-
-/// Type-checks the operands without ever evaluating them (dead branch).
-#define PPACD_TELEMETRY_NOOP_(expr) \
-  do {                              \
-    if (false) {                    \
-      expr;                         \
-    }                               \
-  } while (0)
-
-#define PPACD_SPAN(var, name) ::ppacd::telemetry::NullSpan var{(name)}
-#define PPACD_SPAN_IF(var, name, active) \
-  ::ppacd::telemetry::NullSpan var { (name), static_cast<bool>(active) }
-#define PPACD_SPAN_ATTR(var, key, value) \
-  PPACD_TELEMETRY_NOOP_(((void)(var), (void)(key), (void)(value)))
-#define PPACD_COUNT(name, delta) \
-  PPACD_TELEMETRY_NOOP_(((void)(name), (void)(delta)))
-#define PPACD_GAUGE_SET(name, value) \
-  PPACD_TELEMETRY_NOOP_(((void)(name), (void)(value)))
-#define PPACD_HIST(name, value) \
-  PPACD_TELEMETRY_NOOP_(((void)(name), (void)(value)))
-
-#else
-
-#define PPACD_SPAN(var, name) ::ppacd::telemetry::TraceSpan var{(name)}
-#define PPACD_SPAN_IF(var, name, active) \
-  ::ppacd::telemetry::TraceSpan var { (name), static_cast<bool>(active) }
-#define PPACD_SPAN_ATTR(var, key, value) (var).attr((key), (value))
-/// The handle is resolved once per call site; updates are relaxed atomics.
 #define PPACD_COUNT(name, delta)                                      \
   do {                                                                \
     static ::ppacd::telemetry::Counter& ppacd_tm_handle_ =            \
@@ -282,7 +234,5 @@ bool write_summary(const std::string& path, std::string_view label);
         ::ppacd::telemetry::metrics().histogram(name);                \
     ppacd_tm_handle_.observe(static_cast<double>(value));             \
   } while (0)
-
-#endif  // PPACD_TELEMETRY_DISABLED
 
 }  // namespace ppacd::telemetry

@@ -277,9 +277,9 @@ fault::Expected<ShapeSelectionStats, fault::FlowError> try_select_cluster_shapes
     const cluster::ClusterId ci = eligible[k];
     ClusterOutcome& outcome = outcomes[k];
     const cluster::Cluster& cluster_ref = clustered.clusters[ci];
-    PPACD_SPAN(cluster_span, "vpr.cluster");
-    PPACD_SPAN_ATTR(cluster_span, "cluster", ci.value());
-    PPACD_SPAN_ATTR(cluster_span, "cells", cluster_ref.cells.size());
+    telemetry::TraceSpan cluster_span("vpr.cluster");
+    cluster_span.attr("cluster", ci.value());
+    cluster_span.attr("cells", cluster_ref.cells.size());
     const netlist::SubNetlist sub = netlist::extract_subnetlist(nl, cluster_ref.cells);
 
     std::size_t best_index = kInvalidShapeIndex;
@@ -350,7 +350,7 @@ fault::Expected<ShapeSelectionStats, fault::FlowError> try_select_cluster_shapes
         best_index = vpr.value().best_index;
         runs_per_cluster[k] =
             static_cast<double>(vpr.value().candidates.size());
-        if (observing && observe::recorder().want(static_cast<std::int64_t>(k))) {
+        if (observing) {
           const auto& candidates = vpr.value().candidates;
           for (std::size_t i = 0; i < candidates.size(); ++i) {
             observe::recorder().record(

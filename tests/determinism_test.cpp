@@ -166,9 +166,7 @@ TEST_F(DeterminismTest, ClusteredFlowWithVprBitIdentical1v8) {
   // the placer solves inside score_virtual_die, and the batched router.
   const FlowSnapshot serial = run_at(1, "aes", 600, PlaceStrategy::kSeeded,
                                      /*enable_vpr=*/true);
-#if !defined(PPACD_TELEMETRY_DISABLED)
   EXPECT_GT(serial.shapes_evaluated, 0);
-#endif
   const FlowSnapshot parallel = run_at(8, "aes", 600, PlaceStrategy::kSeeded,
                                        /*enable_vpr=*/true);
   expect_identical(serial, parallel);
@@ -284,13 +282,6 @@ std::uint64_t snapshot_hash(const FlowSnapshot& snap) {
 }
 
 TEST_F(DeterminismTest, GoldenClusteredFlowHashPinned) {
-#if defined(PPACD_TELEMETRY_DISABLED)
-  // The clustered golden folds vpr.shapes.evaluated (a telemetry counter)
-  // into the hash; with telemetry compiled out the counter reads 0 and the
-  // hash legitimately differs. The 1-vs-8 test above still checks
-  // bit-identity of positions and PPA in this configuration.
-  GTEST_SKIP() << "golden hash includes a telemetry counter";
-#endif
   const FlowSnapshot snap = run_at(1, "aes", 600, PlaceStrategy::kSeeded,
                                    /*enable_vpr=*/true);
   EXPECT_EQ(snapshot_hash(snap), kGoldenClusteredHash)
@@ -307,9 +298,6 @@ TEST_F(DeterminismTest, GoldenDefaultFlowHashPinned) {
 }
 
 TEST_F(DeterminismTest, GoldenInnovusFlowHashPinned) {
-#if defined(PPACD_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "golden hash includes a telemetry counter";
-#endif
   const FlowSnapshot snap = run_at(1, "aes", 600, PlaceStrategy::kSeeded,
                                    /*enable_vpr=*/true, innovus);
   EXPECT_EQ(snapshot_hash(snap), kGoldenInnovusHash)
@@ -318,8 +306,6 @@ TEST_F(DeterminismTest, GoldenInnovusFlowHashPinned) {
 }
 
 TEST_F(DeterminismTest, GoldenRepairFlowHashesPinned) {
-  // VPR off: neither hash folds in a telemetry counter, so both hold with
-  // telemetry compiled out too.
   const FlowSnapshot flat = run_at(1, "jpeg", 500, PlaceStrategy::kFlat,
                                    /*enable_vpr=*/false, repair);
   EXPECT_EQ(snapshot_hash(flat), kGoldenFlatRepairHash)
@@ -333,9 +319,6 @@ TEST_F(DeterminismTest, GoldenRepairFlowHashesPinned) {
 }
 
 TEST_F(DeterminismTest, GoldenShardedFlowHashesPinned) {
-#if defined(PPACD_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "golden hash includes a telemetry counter";
-#endif
   // shards=1 and shards=4 are distinct algorithms (different region systems
   // and boundary terminals), so each pins its own golden. Together with the
   // 1-vs-8 test above this guarantees the shard decomposition depends only on
@@ -352,7 +335,6 @@ TEST_F(DeterminismTest, GoldenShardedFlowHashesPinned) {
       << std::hex << snapshot_hash(many);
 }
 
-#if !defined(PPACD_OBSERVE_DISABLED) && !defined(PPACD_TELEMETRY_DISABLED)
 // The flight recorder is write-only for the solvers (DESIGN.md section 13):
 // turning it on must not move a single output bit, so the same golden hashes
 // hold with the recorder enabled. A failure here means an instrumentation
@@ -374,7 +356,6 @@ TEST_F(DeterminismTest, GoldenHashesUnchangedWithObserveEnabled) {
   observe::recorder().reset();
   observe::recorder().set_enabled(saved);
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // SIMD kernel bit-identity (DESIGN.md §15)

@@ -1,14 +1,18 @@
 /// \file observe_test.cpp
-/// \brief Flight-recorder contract tests: bounded rings with drop counting,
-/// deterministic every-Nth sampling, serial series numbering, merge order by
-/// (stream, series, index, sub), capacity trimming that keeps the newest
-/// keys, and — the headline guarantee — a merged event stream that is
-/// bit-identical when the full clustered flow runs with 1 thread and with 8.
+/// \brief Flight-recorder contract tests: bounded per-thread buffers with
+/// drop counting, serial series numbering, merge order by (stream, series,
+/// index, sub), capacity trimming that keeps the highest keys at any split
+/// across threads, and — the headline guarantee — a merged event stream that
+/// is bit-identical when the full clustered flow runs with 1 thread and
+/// with 8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "exec/exec.hpp"
@@ -17,22 +21,10 @@
 #include "gen/generator.hpp"
 #include "observe/observe.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 
 namespace ppacd::observe {
 namespace {
-
-#if defined(PPACD_OBSERVE_DISABLED)
-// With the recorder compiled out active() is constant-false and no emit site
-// runs; the API below still links (tools/tests compile either way) but there
-// is nothing to test beyond that.
-TEST(Observe, CompiledOutIsInertButLinks) {
-  EXPECT_FALSE(kCompiledIn);
-  EXPECT_FALSE(active());
-  recorder().set_enabled(true);
-  recorder().record(Stream::kPlaceIter, 0, 0, 0, {1.0});
-  recorder().set_enabled(false);
-}
-#else
 
 /// Saves and restores the process-wide recorder configuration around each
 /// test, and starts every test from an empty, enabled recorder.
@@ -41,7 +33,6 @@ class ObserveTest : public ::testing::Test {
   void SetUp() override {
     saved_enabled_ = recorder().enabled();
     saved_capacity_ = recorder().capacity();
-    saved_stride_ = recorder().sample_stride();
     recorder().reset();
     recorder().set_enabled(true);
   }
@@ -49,33 +40,19 @@ class ObserveTest : public ::testing::Test {
     recorder().reset();
     recorder().set_enabled(saved_enabled_);
     recorder().set_capacity(saved_capacity_);
-    recorder().set_sample_stride(saved_stride_);
   }
 
  private:
   bool saved_enabled_ = false;
   std::size_t saved_capacity_ = 0;
-  int saved_stride_ = 1;
 };
 
 TEST_F(ObserveTest, DisabledRecorderRecordsNothing) {
   recorder().set_enabled(false);
   EXPECT_FALSE(active());
-  EXPECT_FALSE(recorder().want(0));
   recorder().record(Stream::kPlaceIter, 0, 0, 0, {1.0});
   recorder().set_enabled(true);
   EXPECT_TRUE(recorder().merged_samples().empty());
-}
-
-TEST_F(ObserveTest, WantIsEveryNthByLogicalIndex) {
-  recorder().set_sample_stride(4);
-  EXPECT_TRUE(recorder().want(0));
-  EXPECT_FALSE(recorder().want(1));
-  EXPECT_FALSE(recorder().want(3));
-  EXPECT_TRUE(recorder().want(4));
-  EXPECT_TRUE(recorder().want(8000));
-  recorder().set_sample_stride(1);
-  EXPECT_TRUE(recorder().want(7));
 }
 
 TEST_F(ObserveTest, SeriesNumbersArePerStreamAndSequential) {
@@ -144,6 +121,31 @@ TEST_F(ObserveTest, MergedTrimsToCapacityKeepingHighestKeys) {
   EXPECT_EQ(samples.back().index, 31);
 }
 
+/// Resident set size in KiB, or -1 where /proc/self/status is unavailable.
+long resident_kib() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST_F(ObserveTest, ResetReusesEachThreadsBuffer) {
+  // A thread keeps one buffer across reset(), so reset-and-record cycles
+  // must not add a buffer (2 MiB at this capacity) per cycle.
+  constexpr std::int64_t kCapacity = std::int64_t{1} << 15;
+  recorder().set_capacity(static_cast<std::size_t>(kCapacity));
+  const long before = resident_kib();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+  for (int cycle = 0; cycle < 64; ++cycle) {
+    recorder().reset();
+    for (std::int64_t i = 0; i < kCapacity; ++i) {
+      recorder().record(Stream::kPlaceCg, 0, i, 0, {double(i)});
+    }
+  }
+  EXPECT_LT(resident_kib() - before, 32 * 1024);
+}
+
 TEST_F(ObserveTest, FrameStoreBoundedAtKMaxFrames) {
   for (std::size_t i = 0; i < Recorder::kMaxFrames + 5; ++i) {
     recorder().record_frame(Stream::kRouteHeatmap, 0,
@@ -171,7 +173,7 @@ TEST_F(ObserveTest, ToJsonCarriesSchemaAndStreamNames) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic merge across the worker pool
+// Deterministic merge across threads
 // ---------------------------------------------------------------------------
 
 /// Emits keyed samples from a parallel_for at `threads` and returns the
@@ -212,6 +214,68 @@ TEST_F(ObserveTest, PoolEmitsMergeIdentical1v8) {
   const std::vector<Sample> parallel = emit_from_pool(8, 500);
   ASSERT_EQ(serial.size(), 500u);
   expect_same_stream(serial, parallel);
+}
+
+/// Records `keys` in order, split into `threads` contiguous slices, each on
+/// its own std::thread.
+void record_split(const std::vector<Sample>& keys, int threads) {
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    const std::size_t lo = keys.size() * static_cast<std::size_t>(t) /
+                           static_cast<std::size_t>(threads);
+    const std::size_t hi = keys.size() * static_cast<std::size_t>(t + 1) /
+                           static_cast<std::size_t>(threads);
+    workers.emplace_back([&keys, lo, hi] {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Sample& k = keys[i];
+        recorder().record(static_cast<Stream>(k.stream), k.series, k.index,
+                          k.sub, {k.values[0]});
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+}
+
+TEST_F(ObserveTest, MergeMatchesReferenceAtEverySplit) {
+  // Property: whatever the emit order and however it is split across
+  // threads, the merge keeps exactly the `capacity` highest keys and counts
+  // the rest as dropped. Emit order within a thread is not key order in the
+  // flow either (a placer iteration flushes place.cg before place.iter).
+  const Stream streams[] = {Stream::kPlaceIter, Stream::kPlaceCg,
+                            Stream::kVprCandidate, Stream::kClusterCut};
+  std::vector<Sample> keys(960);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i].stream = static_cast<std::int32_t>(streams[i % 4]);
+    keys[i].series = static_cast<std::int32_t>(i / 4 % 2);
+    keys[i].index = static_cast<std::int64_t>(i / 8);
+    keys[i].sub = static_cast<std::int64_t>(i % 3);
+    keys[i].count = 1;
+    keys[i].values[0] = static_cast<double>(i);
+  }
+  std::vector<Sample> sorted = keys;
+  std::sort(sorted.begin(), sorted.end(), [](const Sample& a, const Sample& b) {
+    return std::tie(a.stream, a.series, a.index, a.sub) <
+           std::tie(b.stream, b.series, b.index, b.sub);
+  });
+  for (const std::size_t capacity : {std::size_t{37}, std::size_t{300}}) {
+    recorder().set_capacity(capacity);
+    const std::vector<Sample> reference(
+        sorted.end() - static_cast<std::ptrdiff_t>(capacity), sorted.end());
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+      std::vector<Sample> order = keys;
+      util::Rng(seed).shuffle(order);
+      for (const int threads : {1, 2, 3, 4}) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << capacity
+                                          << " seed " << seed << " threads "
+                                          << threads);
+        recorder().reset();
+        record_split(order, threads);
+        expect_same_stream(recorder().merged_samples(), reference);
+        EXPECT_EQ(recorder().dropped(),
+                  static_cast<std::int64_t>(keys.size() - capacity));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -292,25 +356,6 @@ TEST_F(ObserveTest, FlowEventStreamBitIdentical1v8) {
   // the dashboard reads) is byte-identical too.
   EXPECT_EQ(serial.json, parallel.json);
 }
-
-TEST_F(ObserveTest, SampledStrideThinsHighFrequencyStreamsOnly) {
-  recorder().set_sample_stride(8);
-  const FlowStream thinned = record_flow_at(1);
-  recorder().set_sample_stride(1);
-  const FlowStream full = record_flow_at(1);
-  EXPECT_LT(thinned.samples.size(), full.samples.size());
-  // Frames are always recorded regardless of stride.
-  EXPECT_EQ(thinned.frames.size(), full.frames.size());
-  // Thinned CG samples all fall on the stride (summary rows use sub == -1).
-  for (const Sample& s : thinned.samples) {
-    if (s.stream == static_cast<std::int32_t>(Stream::kPlaceCg) &&
-        s.sub >= 0) {
-      EXPECT_EQ(s.sub % 8, 0) << "CG sample off stride";
-    }
-  }
-}
-
-#endif  // PPACD_OBSERVE_DISABLED
 
 }  // namespace
 }  // namespace ppacd::observe

@@ -399,28 +399,15 @@ TEST(RunReport, EmittedJsonRoundTrips) {
   EXPECT_DOUBLE_EQ(counters->find("place.gp.iterations")->as_double(), 24.0);
 }
 
-#if !defined(PPACD_TELEMETRY_DISABLED)
 TEST(Macros, RecordIntoGlobalRegistry) {
-  reset_spans();
   metrics().reset();
-  {
-    PPACD_SPAN(outer, "test.macro.outer");
-    PPACD_SPAN_ATTR(outer, "n", 2);
-    PPACD_SPAN_IF(inner, "test.macro.inner", true);
-    PPACD_SPAN_IF(skipped, "test.macro.skipped", false);
-    PPACD_COUNT("test.macro.counter", 3);
-    PPACD_GAUGE_SET("test.macro.gauge", 1.5);
-    PPACD_HIST("test.macro.hist", 0.25);
-  }
-  const std::vector<SpanRecord> spans = span_snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "test.macro.outer");
-  EXPECT_EQ(spans[1].name, "test.macro.inner");
+  PPACD_COUNT("test.macro.counter", 3);
+  PPACD_GAUGE_SET("test.macro.gauge", 1.5);
+  PPACD_HIST("test.macro.hist", 0.25);
   EXPECT_EQ(metrics().counter("test.macro.counter").value(), 3);
   EXPECT_DOUBLE_EQ(metrics().gauge("test.macro.gauge").value(), 1.5);
   EXPECT_EQ(metrics().histogram("test.macro.hist").count(), 1);
 }
-#endif  // !PPACD_TELEMETRY_DISABLED
 
 }  // namespace
 }  // namespace ppacd::telemetry

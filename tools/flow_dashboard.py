@@ -294,8 +294,7 @@ def build(doc, title):
             f'{doc.get("dropped", 0)} dropped</div>')
     if not cards:
         cards = ['<div class="card">No streams recorded — run with '
-                 '<code>flow_cli --observe</code> on a PPACD_OBSERVE=ON '
-                 'build.</div>']
+                 '<code>flow_cli --observe</code>.</div>']
     return (f"<!DOCTYPE html><html><head><meta charset='utf-8'>"
             f"<title>{html.escape(title or 'Flow dashboard')}</title>"
             f"<style>{CSS}</style></head><body>{head}"

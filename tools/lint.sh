@@ -8,7 +8,7 @@
 # Usage: tools/lint.sh [--fast]
 #   --fast   skip the sanitizer stage (stages 1, 2, 4 only)
 #
-# Exit codes follow the tools/bench_diff.py contract: 0 clean, 1 findings or
+# Exit codes follow the tools/metric_diff.py contract: 0 clean, 1 findings or
 # test failures, 2 usage/internal error. Lint JSON reports land in
 # build/lint-reports/ (uploaded as artifacts by the CI `lint` job).
 set -euo pipefail

@@ -33,7 +33,7 @@ Usage:
   tools/lint_contracts.py [paths...]      lint files/dirs (default: src)
   tools/lint_contracts.py --self-test     run against the fixture corpus
 
-Exit codes (same contract as tools/bench_diff.py):
+Exit codes (same contract as tools/metric_diff.py):
   0 clean, 1 findings, 2 usage or internal error.
 
 Stdlib only; no compiler, no clang dependency.

@@ -45,7 +45,7 @@ Usage:
   tools/lint_determinism.py [paths...]     lint files/dirs (default: src)
   tools/lint_determinism.py --self-test    run against the fixture corpus
 
-Exit codes (same contract as tools/bench_diff.py):
+Exit codes (same contract as tools/metric_diff.py):
   0  clean
   1  findings
   2  usage or internal error
