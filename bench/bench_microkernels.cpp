@@ -118,8 +118,7 @@ void BM_GlobalRouting(benchmark::State& state) {
   AllocCounters allocs(state);
   for (auto _ : state) {
     route::GlobalRouter router(f.nl, f.positions, f.fp.core, route::RouteOptions{});
-    benchmark::DoNotOptimize(
-        router.try_run(fault::DegradePolicy{}).value().wirelength_um);
+    benchmark::DoNotOptimize(router.run().wirelength_um);
   }
 }
 BENCHMARK(BM_GlobalRouting)->Unit(benchmark::kMillisecond);
@@ -132,7 +131,10 @@ void BM_Sta(benchmark::State& state) {
   AllocCounters allocs(state);
   for (auto _ : state) {
     sta::Sta sta(f.nl, options);
-    sta.run();
+    if (!sta.try_run().has_value()) {
+      state.SkipWithError("Sta::try_run failed");
+      break;
+    }
     benchmark::DoNotOptimize(sta.tns_ns());
   }
 }

@@ -53,18 +53,14 @@ int main() {
   vpr_options.min_cluster_instances = 60;
   util::Timer timer;
   const vpr::ShapeSelectionStats exact =
-      vpr::try_select_cluster_shapes(nl, clustered, vpr_options, nullptr,
-                                     fault::DegradePolicy{})
-          .value();
+      vpr::select_cluster_shapes(nl, clustered, vpr_options, nullptr);
   const double exact_seconds = timer.seconds();
 
   const vpr::ShapeCostPredictor predictor =
       result.model->predictor(features::FeatureOptions{});
   timer.reset();
   const vpr::ShapeSelectionStats ml_stats =
-      vpr::try_select_cluster_shapes(nl, clustered, vpr_options, &predictor,
-                                     fault::DegradePolicy{})
-          .value();
+      vpr::select_cluster_shapes(nl, clustered, vpr_options, &predictor);
   const double ml_seconds = timer.seconds();
 
   const double per_run_s =

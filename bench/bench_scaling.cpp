@@ -41,9 +41,7 @@ void run_thread_sweep() {
     cluster::ClusteredNetlist clustered = cluster::build_clustered_netlist(
         nl, fc_result.cluster_of_cell, fc_result.cluster_count);
     util::Timer timer;
-    vpr::try_select_cluster_shapes(nl, clustered, vpr_options, nullptr,
-                                   fault::DegradePolicy{})
-        .value();
+    vpr::select_cluster_shapes(nl, clustered, vpr_options, nullptr);
     const double seconds = timer.seconds();
     if (threads == 1) base_seconds = seconds;
     const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;

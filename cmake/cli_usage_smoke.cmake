@@ -2,7 +2,8 @@
 # examples/CMakeLists.txt). Every malformed invocation below must exit 1 with
 # a one-line message instead of running some other flow; the invocation
 # shapes of flowbench/run.py (clustered, flat and sharded, on a Verilog
-# netlist) must still exit 0.
+# netlist) must still exit 0; and under a fault plan, an error no fallback
+# absorbs must exit 3 with its code on stderr.
 #
 # Inputs: -DFLOW_CLI=<path to flow_cli> -DWORK_DIR=<writable directory>
 
@@ -67,5 +68,26 @@ foreach(shape IN ITEMS
     message(FATAL_ERROR "flow_cli ${shape}: want exit 0, got ${rc}:\n${out}\n${err}")
   endif()
 endforeach()
+
+# Fault plans: `want_rc` is the exit status, `want_err` a regex stderr must
+# match. --write-congestion routes outside the flow, so its allocation
+# failure skips the artifact instead of aborting the process.
+function(expect_fault_run want_rc want_err)
+  execute_process(
+    COMMAND "${FLOW_CLI}" --verilog "${netlist}" --clock 1500 --place-only
+            ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL want_rc OR NOT err MATCHES "${want_err}")
+    message(FATAL_ERROR "flow_cli ${ARGN}: want exit ${want_rc} and stderr "
+                        "matching '${want_err}', got ${rc}:\n${out}\n${err}")
+  endif()
+endfunction()
+expect_fault_run(3 "alloc-failure" --fault-plan place.solve=alloc@1)
+expect_fault_run(3 "io-read-failed" --fault-plan io.read=error)
+expect_fault_run(0 "write-congestion: alloc-failure"
+                 --write-congestion "${WORK_DIR}/cli_usage_smoke.ppm"
+                 --fault-plan route.maze=alloc@1)
 
 message(STATUS "cli usage smoke OK")

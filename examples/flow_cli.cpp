@@ -50,8 +50,10 @@
 /// src/fault/fault.hpp for the grammar, e.g.
 /// "seed=7;vpr.shape_eval=error%0.5;sta.arrival=poison"); the PPACD_FAULTS
 /// environment variable is used when the flag is absent. The flow degrades
-/// gracefully per FlowOptions::degrade; an unabsorbed structured error
-/// prints its code and exits with status 3.
+/// gracefully through its always-on fallbacks (src/flow/flow.hpp); an error
+/// no fallback absorbs prints its code and exits with status 3. The
+/// --write-congestion and --report-paths artifacts run outside the flow: a
+/// failure there skips the artifact with one line on stderr.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -59,6 +61,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <new>
 #include <optional>
 #include <string>
 
@@ -449,10 +452,12 @@ int main(int argc, char** argv) {
   if (!args.write_congestion.empty()) {
     route::GlobalRouter router(*design, result.place.positions, box.rect(),
                                options.router);
-    auto routed = router.try_run(options.degrade);
-    if (routed.has_value() &&
-        viz::write_congestion_ppm_file(routed.value(), args.write_congestion)) {
-      std::printf("wrote %s\n", args.write_congestion.c_str());
+    try {
+      if (viz::write_congestion_ppm_file(router.run(), args.write_congestion)) {
+        std::printf("wrote %s\n", args.write_congestion.c_str());
+      }
+    } catch (const std::bad_alloc&) {
+      std::fprintf(stderr, "--write-congestion: alloc-failure\n");
     }
   }
   if (args.report_paths > 0) {
@@ -460,12 +465,14 @@ int main(int argc, char** argv) {
     sta_options.clock_period_ps = options.clock_period_ps;
     sta_options.cell_positions = &result.place.positions;
     sta::Sta sta(*design, sta_options);
-    sta.run();
-    std::printf("\n%s\n%s",
-                sta::report_summary(*design, sta).c_str(),
-                sta::report_checks(*design, sta,
-                                   static_cast<std::size_t>(args.report_paths))
-                    .c_str());
+    auto timed = sta.try_run();
+    if (timed.has_value()) {
+      const auto paths = static_cast<std::size_t>(args.report_paths);
+      std::printf("\n%s\n%s", sta::report_summary(*design, sta).c_str(),
+                  sta::report_checks(*design, sta, paths).c_str());
+    } else {
+      std::fprintf(stderr, "--report-paths: %s\n", timed.error().code.c_str());
+    }
   }
   return exit_code;
 }

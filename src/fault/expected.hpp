@@ -12,14 +12,14 @@
 /// DESIGN.md §12 lists every code the flow can produce. `site` names the
 /// fault site (fault.hpp) or subsystem that raised the error.
 ///
-/// Monadic helpers (`map`, `and_then`, `or_else`) mirror std::expected
-/// (C++23) so migration is a typedef swap once the toolchain floor moves.
+/// A function that returns `Expected` is named `try_*`, so the
+/// `dropped-expected` and `naked-value` rules of tools/lint_contracts.py see
+/// every call.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -60,20 +60,10 @@ inline Unexpected<FlowError> err(std::string_view code, std::string_view site,
       FlowError{std::string(code), std::string(site), std::string(message)});
 }
 
-template <typename T, typename E = FlowError>
-class [[nodiscard]] Expected;
-
-namespace detail {
-template <typename U>
-struct is_expected : std::false_type {};
-template <typename U, typename G>
-struct is_expected<Expected<U, G>> : std::true_type {};
-}  // namespace detail
-
 /// Value-or-error sum type. Holds exactly one of T or E; the error
 /// alternative is reachable only through Unexpected so `Expected<int>(3)`
 /// and `Expected<int>(err(...))` never collide.
-template <typename T, typename E>
+template <typename T, typename E = FlowError>
 class [[nodiscard]] Expected {
  public:
   using value_type = T;
@@ -111,43 +101,6 @@ class [[nodiscard]] Expected {
     return std::get<1>(std::move(state_));
   }
 
-  T value_or(T fallback) const& {
-    return has_value() ? std::get<0>(state_) : std::move(fallback);
-  }
-  T value_or(T fallback) && {
-    return has_value() ? std::get<0>(std::move(state_)) : std::move(fallback);
-  }
-
-  /// Applies `fn` to the value, passing errors through unchanged. `fn`
-  /// returns a plain value; use and_then for fallible continuations.
-  template <typename Fn>
-  auto map(Fn&& fn) const& -> Expected<std::invoke_result_t<Fn, const T&>, E> {
-    using U = std::invoke_result_t<Fn, const T&>;
-    if (has_value()) return Expected<U, E>(fn(std::get<0>(state_)));
-    return Expected<U, E>(Unexpected<E>(std::get<1>(state_)));
-  }
-
-  /// Chains a fallible continuation: `fn(value)` must itself return an
-  /// Expected<U, E>; errors short-circuit.
-  template <typename Fn>
-  auto and_then(Fn&& fn) const& -> std::invoke_result_t<Fn, const T&> {
-    using Ret = std::invoke_result_t<Fn, const T&>;
-    static_assert(detail::is_expected<Ret>::value,
-                  "and_then continuation must return an Expected");
-    static_assert(std::is_same_v<typename Ret::error_type, E>,
-                  "and_then continuation must keep the error type");
-    if (has_value()) return fn(std::get<0>(state_));
-    return Ret(Unexpected<E>(std::get<1>(state_)));
-  }
-
-  /// Error-path continuation: `fn(error)` returns an Expected<T, E> used as
-  /// the recovery result; values pass through unchanged.
-  template <typename Fn>
-  Expected or_else(Fn&& fn) const& {
-    if (has_value()) return *this;
-    return fn(std::get<1>(state_));
-  }
-
   Expected(const Expected&) = default;
   Expected(Expected&&) = default;
   Expected& operator=(const Expected&) = default;
@@ -157,8 +110,7 @@ class [[nodiscard]] Expected {
   std::variant<T, E> state_;
 };
 
-/// Expected<void>: success carries no value; the monadic helpers take and
-/// produce nullary continuations.
+/// Expected<void>: success carries no value.
 template <typename E>
 class [[nodiscard]] Expected<void, E> {
  public:
@@ -174,33 +126,6 @@ class [[nodiscard]] Expected<void, E> {
   const E& error() const& {
     PPACD_DCHECK(!has_value(), "Expected<void>::error() on value");
     return *error_;
-  }
-
-  template <typename Fn>
-  auto map(Fn&& fn) const -> Expected<std::invoke_result_t<Fn>, E> {
-    using U = std::invoke_result_t<Fn>;
-    if (!has_value()) return Expected<U, E>(Unexpected<E>(*error_));
-    if constexpr (std::is_void_v<U>) {
-      fn();
-      return Expected<U, E>();
-    } else {
-      return Expected<U, E>(fn());
-    }
-  }
-
-  template <typename Fn>
-  auto and_then(Fn&& fn) const -> std::invoke_result_t<Fn> {
-    using Ret = std::invoke_result_t<Fn>;
-    static_assert(detail::is_expected<Ret>::value,
-                  "and_then continuation must return an Expected");
-    if (has_value()) return fn();
-    return Ret(Unexpected<E>(*error_));
-  }
-
-  template <typename Fn>
-  Expected or_else(Fn&& fn) const {
-    if (has_value()) return *this;
-    return fn(*error_);
   }
 
  private:

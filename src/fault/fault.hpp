@@ -7,8 +7,8 @@
 /// when the predictor is unavailable or out-of-distribution). This module
 /// generalizes that idea: named *fault sites* inside the subsystems consult
 /// a process-wide `FaultPlan` and, when a fault fires, force the site down
-/// its error path — so the graceful-degradation policies in flow/ are
-/// continuously exercisable instead of dead code.
+/// its error path — so the fallbacks (always on; DESIGN.md §12 lists them)
+/// are continuously exercisable instead of dead code.
 ///
 /// Registered sites (DESIGN.md §12 has the full table):
 ///   io.read         netlist / model deserialization
@@ -178,37 +178,5 @@ void reset_log();
 /// [{site, error_code, fallback, detail}...].
 telemetry::Json errors_json();
 telemetry::Json degradations_json();
-
-// ---------------------------------------------------------------------------
-// Degradation policies
-// ---------------------------------------------------------------------------
-
-/// What the flow does when a subsystem reports a FlowError
-/// (FlowOptions::degrade). Every enabled fallback records a Degradation and
-/// bumps its `fault.degrade.*` counter; disabling a policy turns the
-/// corresponding failure into a propagated FlowError instead.
-struct DegradePolicy {
-  /// ML predictor failure / out-of-distribution output -> actual V-P&R
-  /// scoring for that cluster (the paper's own fallback).
-  bool ml_fallback_to_vpr = true;
-  /// Per-cluster shape-sweep failure -> keep the default shape
-  /// (AR 1.0, utilization 0.9 — the paper's uniform baseline).
-  bool shape_fallback_default = true;
-  /// Placer failure mid-iteration -> stop early with the best placement so
-  /// far instead of failing the flow.
-  bool place_early_stop = true;
-  /// Shard-solve failure in the sharded placement pass -> that shard keeps
-  /// its cluster-induced (VPR) seed positions; the stitch still runs.
-  bool shard_fallback_seed = true;
-  /// Router batch failure -> serial retries with bounded backoff, then
-  /// report partial routes for the nets that still fail.
-  int route_retries = 2;
-  /// Milliseconds of backoff between serial route retries (scaled by the
-  /// attempt number). 0 keeps injected-fault campaigns fast.
-  int route_backoff_ms = 0;
-  /// STA failure -> HPWL-only cost: WNS/TNS report 0 (unavailable), power
-  /// falls back to activity-only estimation.
-  bool sta_fallback_hpwl = true;
-};
 
 }  // namespace ppacd::fault

@@ -1,6 +1,7 @@
 #include "flow/flow.hpp"
 
 #include <algorithm>
+#include <new>
 #include <sstream>
 
 #include "flow/report.hpp"
@@ -15,6 +16,7 @@
 #include "cluster/community.hpp"
 #include "cluster/graph.hpp"
 #include "cluster/ppa_costs.hpp"
+#include "fault/fault.hpp"
 #include "hier/dendrogram.hpp"
 #include "place/floorplan.hpp"
 #include "place/detailed.hpp"
@@ -62,8 +64,8 @@ struct ClusteringOutcome {
   std::int32_t count = 0;
 };
 
-fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
-    const netlist::Netlist& nl, const FlowOptions& options) {
+ClusteringOutcome run_clustering(const netlist::Netlist& nl,
+                                 const FlowOptions& options) {
   ClusteringOutcome out;
   switch (options.cluster_method) {
     case ClusterMethod::kPpaAware: {
@@ -80,13 +82,11 @@ fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
         if (sta_run.has_value()) {
           timing_cost = cluster::net_timing_costs(
               nl, sta, options.clock_period_ps, options.top_paths);
-        } else if (options.degrade.sta_fallback_hpwl) {
+        } else {
           // Cluster without timing costs (connectivity + switching only).
           fault::record_degradation({"sta.arrival", sta_run.error().code,
                                      "hpwl-only",
                                      "clustering timing costs unavailable"});
-        } else {
-          return fault::Unexpected<fault::FlowError>(std::move(sta_run).error());
         }
         const auto activities =
             sta::propagate_activity(nl, sta::ActivityOptions{});
@@ -157,12 +157,12 @@ fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
   return out;
 }
 
-fault::Expected<void, fault::FlowError> apply_shapes(
-    const netlist::Netlist& nl, cluster::ClusteredNetlist& clustered,
-    const FlowOptions& options, PlaceOutcome& outcome) {
+void apply_shapes(const netlist::Netlist& nl,
+                  cluster::ClusteredNetlist& clustered,
+                  const FlowOptions& options, PlaceOutcome& outcome) {
   switch (options.shape_mode) {
     case ShapeMode::kUniform:
-      return {};  // the build-time default is utilization 0.9, AR 1.0
+      return;  // the build-time default is utilization 0.9, AR 1.0
     case ShapeMode::kRandom: {
       util::Rng rng(options.seed ^ 0x5eedu);
       const auto candidates = vpr::candidate_shapes(options.vpr);
@@ -174,39 +174,26 @@ fault::Expected<void, fault::FlowError> apply_shapes(
         set_cluster_shape(clustered, ci, candidates[rng.index(candidates.size())]);
         ++outcome.shaped_clusters;
       }
-      return {};
+      return;
     }
-    case ShapeMode::kVpr: {
-      auto stats = vpr::try_select_cluster_shapes(nl, clustered, options.vpr,
-                                                  nullptr, options.degrade);
-      if (!stats.has_value()) {
-        return fault::Unexpected<fault::FlowError>(std::move(stats).error());
-      }
-      outcome.shaped_clusters = stats.value().clusters_shaped;
-      return {};
-    }
+    case ShapeMode::kVpr:
     case ShapeMode::kVprMl: {
-      const vpr::ShapeCostPredictor* predictor = options.ml_predictor;
-      if (predictor == nullptr) {
-        // A missing predictor is itself an ML failure: fall back to exact
-        // V-P&R under the same policy instead of asserting.
-        if (!options.degrade.ml_fallback_to_vpr) {
-          return fault::err("ml-predictor-missing", "ml.predict",
-                            "ShapeMode::kVprMl requires ml_predictor");
+      const vpr::ShapeCostPredictor* predictor = nullptr;
+      if (options.shape_mode == ShapeMode::kVprMl) {
+        predictor = options.ml_predictor;
+        if (predictor == nullptr) {
+          // A missing predictor is itself an ML failure: fall back to exact
+          // V-P&R instead of asserting.
+          fault::record_degradation({"ml.predict", "ml-predictor-missing",
+                                     "vpr-exact", "predictor not configured"});
         }
-        fault::record_degradation({"ml.predict", "ml-predictor-missing",
-                                   "vpr-exact", "predictor not configured"});
       }
-      auto stats = vpr::try_select_cluster_shapes(nl, clustered, options.vpr,
-                                                  predictor, options.degrade);
-      if (!stats.has_value()) {
-        return fault::Unexpected<fault::FlowError>(std::move(stats).error());
-      }
-      outcome.shaped_clusters = stats.value().clusters_shaped;
-      return {};
+      outcome.shaped_clusters =
+          vpr::select_cluster_shapes(nl, clustered, options.vpr, predictor)
+              .clusters_shaped;
+      return;
     }
   }
-  return {};
 }
 
 /// Stage 4, optional repair: buffer high-fanout nets, upsize critical drivers,
@@ -245,21 +232,18 @@ void run_timing_optimization(netlist::Netlist& nl, const place::Floorplan& fp,
 
 /// Stage 1 (Alg. 1 lines 2-13): clusters the netlist and shapes the
 /// clusters; fills the cluster counts and their timings in `outcome`.
-fault::Expected<cluster::ClusteredNetlist, fault::FlowError>
-try_cluster_and_shape(const netlist::Netlist& nl, const FlowOptions& options,
-                      PlaceOutcome& outcome) {
+cluster::ClusteredNetlist cluster_and_shape(const netlist::Netlist& nl,
+                                            const FlowOptions& options,
+                                            PlaceOutcome& outcome) {
   cluster::ClusteredNetlist clustered;
   {
     telemetry::TraceSpan span("flow.cluster");
     span.anchor();
     util::ScopedTimer timer(outcome.clustering_seconds);
-    auto clustering = run_clustering(nl, options);
-    if (!clustering.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(clustering).error());
-    }
-    outcome.cluster_count = clustering.value().count;
-    clustered = cluster::build_clustered_netlist(
-        nl, clustering.value().assignment, outcome.cluster_count);
+    const ClusteringOutcome clustering = run_clustering(nl, options);
+    outcome.cluster_count = clustering.count;
+    clustered = cluster::build_clustered_netlist(nl, clustering.assignment,
+                                                 outcome.cluster_count);
     span.attr("method", to_string(options.cluster_method));
     span.attr("clusters", outcome.cluster_count);
   }
@@ -270,10 +254,7 @@ try_cluster_and_shape(const netlist::Netlist& nl, const FlowOptions& options,
   telemetry::TraceSpan span("flow.shape");
   span.anchor();
   util::ScopedTimer timer(outcome.shaping_seconds);
-  auto shaped = apply_shapes(nl, clustered, options, outcome);
-  if (!shaped.has_value()) {
-    return fault::Unexpected<fault::FlowError>(std::move(shaped).error());
-  }
+  apply_shapes(nl, clustered, options, outcome);
   span.attr("mode", to_string(options.shape_mode));
   span.attr("shaped", outcome.shaped_clusters);
   return clustered;
@@ -287,9 +268,9 @@ struct ClusterSeed {
 
 /// Stage 2 (Alg. 1 lines 15-17): places the clustered netlist and induces
 /// the cell positions the flat placement starts from.
-fault::Expected<ClusterSeed, fault::FlowError> try_seed_place(
-    const netlist::Netlist& nl, const cluster::ClusteredNetlist& clustered,
-    const place::Floorplan& fp, const FlowOptions& options) {
+ClusterSeed seed_place(const netlist::Netlist& nl,
+                       const cluster::ClusteredNetlist& clustered,
+                       const place::Floorplan& fp, const FlowOptions& options) {
   telemetry::TraceSpan span("flow.seed_place");
   span.anchor();
   const double io_scale =
@@ -301,19 +282,16 @@ fault::Expected<ClusterSeed, fault::FlowError> try_seed_place(
   // Cluster macros cannot be untangled by cell shifting; use bisection.
   seed_options.spread_mode = place::SpreadMode::kBisection;
   seed_options.trace_iterations = true;
-  auto placed =
-      place::GlobalPlacer(cluster_model, seed_options).try_run(options.degrade);
-  if (!placed.has_value()) {
-    return fault::Unexpected<fault::FlowError>(std::move(placed).error());
-  }
-  if (!placed.value().degrade_code.empty()) {
-    fault::record_degradation({"place.solve", placed.value().degrade_code,
+  place::PlaceResult placed =
+      place::GlobalPlacer(cluster_model, seed_options).run();
+  if (!placed.degrade_code.empty()) {
+    fault::record_degradation({"place.solve", placed.degrade_code,
                                "early-stop", "cluster seed placement"});
   }
-  span.attr("iterations", placed.value().iterations);
+  span.attr("iterations", placed.iterations);
 
   ClusterSeed seed;
-  seed.clusters = std::move(placed).value().placement;
+  seed.clusters = std::move(placed.placement);
   // Place instances within their placed cluster footprints (or exactly at
   // the centers when scatter_seed is off).
   seed.cells = cluster::induce_cell_positions(clustered, nl, seed.clusters,
@@ -325,18 +303,17 @@ fault::Expected<ClusterSeed, fault::FlowError> try_seed_place(
 /// seeded strategies start from the cluster seed; the Innovus-like tool
 /// fences each V-P&R-shaped cluster into its placed footprint (line 18),
 /// while the sharded strategy's regions stand in for those fences.
-fault::Expected<place::PlaceResult, fault::FlowError> try_solve(
-    const netlist::Netlist& nl, const place::Floorplan& fp,
-    const cluster::ClusteredNetlist& clustered, const ClusterSeed& seed,
-    const FlowOptions& options, place::PlaceModel& model,
-    PlaceOutcome& outcome) {
+place::PlaceResult solve(const netlist::Netlist& nl, const place::Floorplan& fp,
+                         const cluster::ClusteredNetlist& clustered,
+                         const ClusterSeed& seed, const FlowOptions& options,
+                         place::PlaceModel& model, PlaceOutcome& outcome) {
   place::GlobalPlacerOptions placer = options.placer;
   placer.seed = options.seed;
   placer.trace_iterations = true;
   if (options.strategy == PlaceStrategy::kFlat) {
-    auto placed = place::GlobalPlacer(model, placer).try_run(options.degrade);
-    if (placed.has_value() && !placed.value().degrade_code.empty()) {
-      fault::record_degradation({"place.solve", placed.value().degrade_code,
+    place::PlaceResult placed = place::GlobalPlacer(model, placer).run();
+    if (!placed.degrade_code.empty()) {
+      fault::record_degradation({"place.solve", placed.degrade_code,
                                  "early-stop", "flat global placement"});
     }
     return placed;
@@ -368,10 +345,10 @@ fault::Expected<place::PlaceResult, fault::FlowError> try_solve(
         }
       }
     }
-    auto placed = place::GlobalPlacer(model, placer)
-                      .try_run_incremental(seed_flat, options.degrade);
-    if (placed.has_value() && !placed.value().degrade_code.empty()) {
-      fault::record_degradation({"place.solve", placed.value().degrade_code,
+    place::PlaceResult placed =
+        place::GlobalPlacer(model, placer).run_incremental(seed_flat);
+    if (!placed.degrade_code.empty()) {
+      fault::record_degradation({"place.solve", placed.degrade_code,
                                  "early-stop", "incremental flat placement"});
     }
     return placed;
@@ -398,18 +375,15 @@ fault::Expected<place::PlaceResult, fault::FlowError> try_solve(
         clustered.cluster_of_cell[static_cast<netlist::CellId>(i)];
     shard_of_object[i] = partition.shard_of_group[ci.index()];
   }
-  auto sharded =
-      place::try_place_sharded(model, seed_flat, shard_of_object, partition,
-                               options.sharding, placer, options.degrade);
-  if (!sharded.has_value()) {
-    return fault::Unexpected<fault::FlowError>(std::move(sharded).error());
-  }
-  for (const place::ShardStat& stat : sharded.value().shards) {
+  place::ShardedPlaceResult sharded =
+      place::place_sharded(model, seed_flat, shard_of_object, partition,
+                           options.sharding, placer);
+  for (const place::ShardStat& stat : sharded.shards) {
     outcome.shard_fallbacks += stat.fell_back ? 1 : 0;
   }
   place::PlaceResult placed;
-  placed.overflow = sharded.value().overflow;
-  placed.placement = std::move(sharded).value().placement;
+  placed.overflow = sharded.overflow;
+  placed.placement = std::move(sharded.placement);
   return placed;
 }
 
@@ -425,20 +399,20 @@ const char* place_span_name(PlaceStrategy strategy) {
 /// Stage 3, placement (lines 18-20 for the seeded strategies): solves,
 /// removes the fences so cells can settle into legal sites anywhere,
 /// legalizes, optionally refines and checks. Returns the cell positions.
-fault::Expected<std::vector<geom::Point>, fault::FlowError> try_place(
-    const netlist::Netlist& nl, const place::Floorplan& fp,
-    const cluster::ClusteredNetlist& clustered, const ClusterSeed& seed,
-    const FlowOptions& options, PlaceOutcome& outcome) {
+std::vector<geom::Point> place_cells(const netlist::Netlist& nl,
+                                     const place::Floorplan& fp,
+                                     const cluster::ClusteredNetlist& clustered,
+                                     const ClusterSeed& seed,
+                                     const FlowOptions& options,
+                                     PlaceOutcome& outcome) {
   telemetry::TraceSpan span(place_span_name(options.strategy));
   span.anchor();
   place::PlaceModel model = place::make_place_model(nl, fp);
-  auto placed = try_solve(nl, fp, clustered, seed, options, model, outcome);
-  if (!placed.has_value()) {
-    return fault::Unexpected<fault::FlowError>(std::move(placed).error());
-  }
+  const place::PlaceResult placed =
+      solve(nl, fp, clustered, seed, options, model, outcome);
 
   for (place::PlaceObject& obj : model.objects) obj.region.reset();
-  place::LegalizeResult legal = place::legalize(model, placed.value().placement);
+  place::LegalizeResult legal = place::legalize(model, placed.placement);
   if (options.detailed_placement) {
     legal.placement =
         place::detailed_place(model, legal.placement, place::DetailedOptions{})
@@ -451,16 +425,16 @@ fault::Expected<std::vector<geom::Point>, fault::FlowError> try_place(
     span.attr("shards", outcome.shard_count);
     span.attr("fallbacks", outcome.shard_fallbacks);
   } else {
-    span.attr("iterations", placed.value().iterations);
+    span.attr("iterations", placed.iterations);
   }
-  span.attr("overflow", placed.value().overflow);
+  span.attr("overflow", placed.overflow);
   return place::cell_positions(nl, legal.placement);
 }
 
 }  // namespace
 
 fault::Expected<FlowResult, fault::FlowError> try_run(
-    netlist::Netlist& nl, const FlowOptions& options) {
+    netlist::Netlist& nl, const FlowOptions& options) try {
   FlowResult result;
   run_check(options, [&](check::CheckLevel level) {
     return check::check_netlist(nl, level);
@@ -469,28 +443,13 @@ fault::Expected<FlowResult, fault::FlowError> try_run(
 
   const bool flat = options.strategy == PlaceStrategy::kFlat;
   cluster::ClusteredNetlist clustered;
-  if (!flat) {
-    auto shaped = try_cluster_and_shape(nl, options, result.place);
-    if (!shaped.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(shaped).error());
-    }
-    clustered = std::move(shaped).value();
-  }
+  if (!flat) clustered = cluster_and_shape(nl, options, result.place);
   {
     util::ScopedTimer timer(result.place.placement_seconds);
     ClusterSeed seed;
-    if (!flat) {
-      auto seed_or = try_seed_place(nl, clustered, fp, options);
-      if (!seed_or.has_value()) {
-        return fault::Unexpected<fault::FlowError>(std::move(seed_or).error());
-      }
-      seed = std::move(seed_or).value();
-    }
-    auto placed = try_place(nl, fp, clustered, seed, options, result.place);
-    if (!placed.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(placed).error());
-    }
-    result.place.positions = std::move(placed).value();
+    if (!flat) seed = seed_place(nl, clustered, fp, options);
+    result.place.positions =
+        place_cells(nl, fp, clustered, seed, options, result.place);
   }
 
   result.place.hpwl_um = place::netlist_hpwl(nl, result.place.positions);
@@ -501,11 +460,15 @@ fault::Expected<FlowResult, fault::FlowError> try_run(
                          << " clusters, " << result.place.shard_count
                          << " shards, HPWL " << result.place.hpwl_um;
   return result;
+} catch (const std::bad_alloc&) {
+  // The one conversion point for an allocation failure no fallback absorbed.
+  return fault::Unexpected<fault::FlowError>(
+      fault::make_error("flow.run", fault::FaultKind::kAlloc));
 }
 
 fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
     const netlist::Netlist& nl, const std::vector<geom::Point>& positions,
-    const FlowOptions& options) {
+    const FlowOptions& options) try {
   PpaOutcome out;
 
   // Routing grid spans the placement bounding box (the floorplan core).
@@ -523,11 +486,7 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
     route::RouteOptions route_options = options.router;
     route_options.observe_stream = true;
     route::GlobalRouter router(nl, positions, box.rect(), route_options);
-    auto routed_or = router.try_run(options.degrade);
-    if (!routed_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(routed_or).error());
-    }
-    routed = std::move(routed_or).value();
+    routed = router.run();
     if (routed.failed_nets > 0) {
       std::ostringstream detail;
       detail << routed.failed_nets << " nets skipped after retries";
@@ -566,15 +525,13 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
   if (sta_run.has_value()) {
     out.wns_ps = sta.wns_ps();
     out.tns_ns = sta.tns_ns();
-  } else if (options.degrade.sta_fallback_hpwl) {
+  } else {
     // HPWL-only cost: timing metrics report 0 (unavailable); power below
     // still comes from activity propagation, which needs no timing graph.
     fault::record_degradation({"sta.arrival", sta_run.error().code,
                                "hpwl-only", "WNS/TNS unavailable"});
     out.wns_ps = 0.0;
     out.tns_ns = 0.0;
-  } else {
-    return fault::Unexpected<fault::FlowError>(std::move(sta_run).error());
   }
   sta_span.attr("wns_ps", out.wns_ps);
   sta_span.attr("tns_ns", out.tns_ns);
@@ -594,6 +551,10 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
   }
   out.power_w = base.total_w - base.clock_w + cts_clock_w + buffer_leakage_w;
   return out;
+} catch (const std::bad_alloc&) {
+  // As in try_run: the one conversion point of the PPA evaluation.
+  return fault::Unexpected<fault::FlowError>(
+      fault::make_error("flow.evaluate_ppa", fault::FaultKind::kAlloc));
 }
 
 }  // namespace ppacd::flow

@@ -23,6 +23,14 @@
 ///
 /// try_evaluate_ppa routes the design, synthesizes the clock tree, and
 /// reports rWL / WNS / TNS / Power exactly as Tables 3-6 record them.
+///
+/// Fallbacks, always on, each recorded as a fault::Degradation: ML predictor
+/// failure -> exact V-P&R; a shape sweep with no finite candidate -> the
+/// default shape; placer failure -> early stop with the best placement so
+/// far; shard failure -> the shard's seed; route failure -> two serial
+/// retries, then partial routes; STA failure -> HPWL-only cost. An
+/// allocation failure no fallback absorbs becomes a FlowError once, at the
+/// two entry points below.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +40,6 @@
 #include "cluster/fc_multilevel.hpp"
 #include "cts/cts.hpp"
 #include "fault/expected.hpp"
-#include "fault/fault.hpp"
 #include "geom/geometry.hpp"
 #include "netlist/netlist.hpp"
 #include "place/global_placer.hpp"
@@ -57,7 +64,7 @@ enum class ClusterMethod {
 /// clusters onto floorplan regions (place::partition_regions), places each
 /// region as an independent sub-problem with boundary pins fixed at the
 /// region crossings, and stitches the shards with a short bounded
-/// incremental pass (place::try_place_sharded; DESIGN.md §16). It is
+/// incremental pass (place::place_sharded; DESIGN.md §16). It is
 /// bit-identical at any thread count for a fixed shard count.
 enum class PlaceStrategy {
   kFlat,     ///< flat global placement, no clustering (the "Default" flow)
@@ -109,14 +116,6 @@ struct FlowOptions {
   /// logged, counted in telemetry (`check.<checker>.violations`), and
   /// serialized into the JSON run report's "checks" section.
   check::CheckLevel check_level = check::CheckLevel::kOff;
-  /// Graceful-degradation policies applied when a subsystem reports a
-  /// structured error (see fault::DegradePolicy): ML predictor failure
-  /// falls back to exact V-P&R, shape-sweep failure to the default shape,
-  /// placer failure to early stop, router failure to serial retries then
-  /// partial routes, STA failure to HPWL-only cost. Disabling a policy
-  /// turns that failure into a propagated FlowError from try_run /
-  /// try_evaluate_ppa.
-  fault::DegradePolicy degrade;
   /// Region-sharded seeded placement (PlaceStrategy::kSharded only): shard
   /// count and per-shard / stitch iteration budgets.
   place::ShardedOptions sharding;
@@ -154,14 +153,16 @@ struct FlowResult {
 /// Runs the placement flow selected by `options` (see the file comment)
 /// and places the netlist's ports on the floorplan boundary as a side
 /// effect. Subsystem failures (injected through the fault sites or genuine)
-/// are either absorbed by the degradation policies in `options.degrade` —
-/// each absorption recorded via fault::record_degradation and surfaced in
-/// the JSON run report — or, when the policy forbids the fallback, returned
-/// as a structured FlowError. The same holds for try_evaluate_ppa.
+/// are absorbed by the always-on fallbacks (file comment), each recorded
+/// via fault::record_degradation and surfaced in the JSON run report. An
+/// allocation failure no fallback absorbs returns `alloc-failure` at site
+/// `flow.run`.
 [[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run(
     netlist::Netlist& netlist, const FlowOptions& options);
 
-/// Routes, runs CTS, and measures post-route PPA for a placed design.
+/// Routes, runs CTS, and measures post-route PPA for a placed design. An
+/// allocation failure no fallback absorbs returns `alloc-failure` at site
+/// `flow.evaluate_ppa`.
 [[nodiscard]] fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
     const netlist::Netlist& netlist, const std::vector<geom::Point>& positions,
     const FlowOptions& options);

@@ -49,7 +49,7 @@ class TrainedModel {
   double predict(const features::ClusterGraph& graph,
                  const cluster::ClusterShape& shape) const;
 
-  /// Adapter for vpr::try_select_cluster_shapes: extracts features from the
+  /// Adapter for vpr::select_cluster_shapes: extracts features from the
   /// sub-netlist and scores every candidate with the model.
   vpr::ShapeCostPredictor predictor(
       const features::FeatureOptions& feature_options) const;

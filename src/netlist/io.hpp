@@ -3,8 +3,8 @@
 ///
 /// The paper's flow reads .v/.def; this module provides the equivalent
 /// surface for this library:
-///   * write_verilog / read_verilog: gate-level structural Verilog over the
-///     library's cells. The subset covers what the writer emits -- one
+///   * write_verilog / try_read_verilog: gate-level structural Verilog over
+///     the library's cells. The subset covers what the writer emits -- one
 ///     module, `input/output/wire` declarations, and named-connection
 ///     instantiations. Hierarchy is encoded in escaped instance names
 ///     (\core0/alu/g42) and restored on read.
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,23 +27,12 @@ namespace ppacd::netlist {
 /// after the netlist net; ports keep their names.
 void write_verilog(const Netlist& netlist, std::ostream& out);
 
-/// Parse errors carry a line number and message.
-struct ParseError {
-  int line = 0;
-  std::string message;
-};
-
-/// Reads the structural-Verilog subset produced by write_verilog. Returns
-/// nullopt and fills `error` (if non-null) on malformed input. Instance
-/// names containing '/' re-create the module hierarchy.
-std::optional<Netlist> read_verilog(std::istream& in,
-                                    const liberty::Library& library,
-                                    ParseError* error = nullptr);
-
-/// Structured-error form of read_verilog, and the `io.read` fault site.
-/// Parse failures map to `io-parse-failed` (line number in the message);
-/// injected faults map to `io-read-failed` / `io-read-timeout` /
-/// `non-finite-result` / `alloc-failure`.
+/// Reads the structural-Verilog subset produced by write_verilog; instance
+/// names containing '/' re-create the module hierarchy. This is the
+/// `io.read` fault site. Malformed input maps to `io-parse-failed` with
+/// "line N: ..." as the message; injected faults map to `io-read-failed` /
+/// `io-read-timeout` / `non-finite-result` / `alloc-failure`, and a real
+/// allocation failure to `alloc-failure` too.
 [[nodiscard]] fault::Expected<Netlist, fault::FlowError> try_read_verilog(
     std::istream& in, const liberty::Library& library);
 
@@ -58,6 +46,12 @@ std::optional<Netlist> read_verilog(std::istream& in,
 void write_placement_def(const Netlist& netlist,
                          const std::vector<geom::Point>& positions,
                          const geom::Rect& die, std::ostream& out);
+
+/// Parse errors of read_placement_def: a line number and message.
+struct ParseError {
+  int line = 0;
+  std::string message;
+};
 
 /// Reads a placement written by write_placement_def back into positions
 /// (indexed by CellId, matched by cell name). Cells missing from the file

@@ -47,7 +47,7 @@ SizingResult resize_critical_cells(Netlist& nl,
     sta_options.clock_period_ps = options.clock_period_ps;
     if (!positions.empty()) sta_options.cell_positions = &positions;
     sta::Sta sta(nl, sta_options);
-    sta.run();
+    if (!sta.try_run().has_value()) break;  // no timing, nothing to size by
     if (round == 0) {
       result.wns_before_ps = sta.wns_ps();
       result.tns_before_ns = sta.tns_ns();
@@ -107,9 +107,10 @@ SizingResult resize_critical_cells(Netlist& nl,
     sta_options.clock_period_ps = options.clock_period_ps;
     if (!positions.empty()) sta_options.cell_positions = &positions;
     sta::Sta sta(nl, sta_options);
-    sta.run();
-    result.wns_after_ps = sta.wns_ps();
-    result.tns_after_ns = sta.tns_ns();
+    if (sta.try_run().has_value()) {
+      result.wns_after_ps = sta.wns_ps();
+      result.tns_after_ns = sta.tns_ns();
+    }
   }
   PPACD_LOG_DEBUG("opt") << nl.name() << ": upsized " << result.upsized_cells
                          << " cells, WNS " << result.wns_before_ps << " -> "

@@ -35,7 +35,7 @@ struct SizingResult {
 
 /// Upsizes drivers on violating paths. `positions` is used for the wire
 /// load model (may be empty for ideal wires... pass the placed positions
-/// for meaningful results).
+/// for meaningful results). Stops sizing when an STA run fails.
 SizingResult resize_critical_cells(netlist::Netlist& netlist,
                                    const std::vector<geom::Point>& positions,
                                    const SizingOptions& options);

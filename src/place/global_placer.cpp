@@ -7,6 +7,7 @@
 #include <span>
 
 #include "exec/exec.hpp"
+#include "fault/fault.hpp"
 #include "observe/observe.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/arena.hpp"
@@ -833,8 +834,8 @@ PlaceResult GlobalPlacer::optimize(Placement positions, int iterations,
     // Fault site `place.solve`, keyed by outer-iteration index. error /
     // timeout stop the run with the best placement so far; poison models a
     // solver that produced non-finite coordinates (revert to the last
-    // committed positions, then stop); alloc surfaces as std::bad_alloc for
-    // try_run to convert.
+    // committed positions, then stop); alloc throws std::bad_alloc, which
+    // the caller's allocation-failure handler catches.
     if (const auto kind =
             fault::trigger("place.solve", static_cast<std::uint64_t>(iter))) {
       if (*kind == fault::FaultKind::kAlloc) throw std::bad_alloc();
@@ -949,39 +950,6 @@ PlaceResult GlobalPlacer::run_incremental(const Placement& seed) {
   const Placement seed_anchor = positions;
   return optimize(std::move(positions), options_.incremental_iterations,
                   &seed_anchor);
-}
-
-namespace {
-
-fault::Expected<PlaceResult, fault::FlowError> finish_try_run(
-    PlaceResult result, const fault::DegradePolicy& policy) {
-  if (!result.degrade_code.empty() && !policy.place_early_stop) {
-    return fault::err(result.degrade_code, "place.solve",
-                      "placer stopped early and early-stop is disabled");
-  }
-  return result;
-}
-
-}  // namespace
-
-fault::Expected<PlaceResult, fault::FlowError> GlobalPlacer::try_run(
-    const fault::DegradePolicy& policy) {
-  try {
-    return finish_try_run(run(), policy);
-  } catch (const std::bad_alloc&) {
-    return fault::Unexpected<fault::FlowError>(
-        fault::make_error("place.solve", fault::FaultKind::kAlloc));
-  }
-}
-
-fault::Expected<PlaceResult, fault::FlowError> GlobalPlacer::try_run_incremental(
-    const Placement& seed, const fault::DegradePolicy& policy) {
-  try {
-    return finish_try_run(run_incremental(seed), policy);
-  } catch (const std::bad_alloc&) {
-    return fault::Unexpected<fault::FlowError>(
-        fault::make_error("place.solve", fault::FaultKind::kAlloc));
-  }
 }
 
 }  // namespace ppacd::place

@@ -8,6 +8,9 @@
 ///   * run_incremental(seed): continue from given locations with anchoring,
 ///     mirroring `globalPlacement -incremental` / `place_design -incremental`
 ///     in the seeded placement step (Alg. 1 lines 19/25).
+/// A `place.solve` failure mid-run stops early with the best placement so
+/// far (PlaceResult::degrade_code); allocation failure throws
+/// std::bad_alloc.
 ///
 /// Each outer iteration solves two independent 1-D quadratic programs
 /// (x and y) built from the bound-to-bound (B2B) net model [Spindler et al.]
@@ -21,8 +24,6 @@
 #include <memory>
 #include <string>
 
-#include "fault/expected.hpp"
-#include "fault/fault.hpp"
 #include "place/model.hpp"
 #include "util/rng.hpp"
 
@@ -99,16 +100,6 @@ class GlobalPlacer {
   /// locations). `seed` must cover all objects; fixed objects keep their
   /// fixed positions regardless.
   PlaceResult run_incremental(const Placement& seed);
-
-  /// Fallible forms of run()/run_incremental(): allocation failure becomes
-  /// a structured `alloc-failure` error, and a mid-run `place.solve`
-  /// failure either stops early with the best placement so far (recorded in
-  /// PlaceResult::degrade_code) when `policy.place_early_stop`, or is
-  /// returned as the FlowError itself when the policy forbids degradation.
-  [[nodiscard]] fault::Expected<PlaceResult, fault::FlowError> try_run(
-      const fault::DegradePolicy& policy);
-  [[nodiscard]] fault::Expected<PlaceResult, fault::FlowError> try_run_incremental(
-      const Placement& seed, const fault::DegradePolicy& policy);
 
  private:
   PlaceResult optimize(Placement positions, int iterations,

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "exec/exec.hpp"
+#include "fault/fault.hpp"
 #include "observe/observe.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/arena.hpp"
@@ -138,11 +139,11 @@ RegionPartition partition_regions(const std::vector<ShardGroup>& groups,
   return partition;
 }
 
-fault::Expected<ShardedPlaceResult, fault::FlowError> try_place_sharded(
+ShardedPlaceResult place_sharded(
     const PlaceModel& flat, const Placement& seed,
     const std::vector<std::int32_t>& shard_of_object,
     const RegionPartition& partition, const ShardedOptions& sharded,
-    const GlobalPlacerOptions& placer, const fault::DegradePolicy& policy) {
+    const GlobalPlacerOptions& placer) {
   const std::size_t object_count = flat.objects.size();
   PPACD_CHECK(seed.size() == object_count,
               "sharded seed covers " << seed.size() << " of " << object_count
@@ -305,12 +306,7 @@ fault::Expected<ShardedPlaceResult, fault::FlowError> try_place_sharded(
       sub_options.seed =
           placer.seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(s) + 1));
       GlobalPlacer sub_placer(sub, sub_options);
-      auto placed_or = sub_placer.try_run_incremental(sub_seed, policy);
-      if (!placed_or.has_value()) {
-        out.failure = std::move(placed_or).error();
-        return;
-      }
-      PlaceResult placed = std::move(placed_or).value();
+      PlaceResult placed = sub_placer.run_incremental(sub_seed);
       if (fired == fault::FaultKind::kPoison) {
         placed.hpwl_um = fault::poison_value();
       }
@@ -345,9 +341,6 @@ fault::Expected<ShardedPlaceResult, fault::FlowError> try_place_sharded(
   for (int s = 0; s < shard_count; ++s) {
     ShardSolved& out = solved[s];
     if (!out.failure.code.empty()) {
-      if (!policy.shard_fallback_seed) {
-        return fault::Unexpected<fault::FlowError>(std::move(out.failure));
-      }
       out.stat.fell_back = true;
       out.stat.failure_code = out.failure.code;
       fault::record_degradation({"place.shard", out.failure.code, "vpr-seed",
@@ -370,11 +363,8 @@ fault::Expected<ShardedPlaceResult, fault::FlowError> try_place_sharded(
     GlobalPlacerOptions stitch_options = placer;
     stitch_options.incremental_iterations = sharded.stitch_iterations;
     GlobalPlacer stitch_placer(flat, stitch_options);
-    auto stitched_or = stitch_placer.try_run_incremental(result.placement, policy);
-    if (!stitched_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(stitched_or).error());
-    }
-    const PlaceResult stitched = std::move(stitched_or).value();
+    const PlaceResult stitched =
+        stitch_placer.run_incremental(result.placement);
     if (!stitched.degrade_code.empty()) {
       fault::record_degradation({"place.solve", stitched.degrade_code,
                                  "early-stop", "sharded stitch"});

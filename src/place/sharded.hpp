@@ -26,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/expected.hpp"
-#include "fault/fault.hpp"
 #include "geom/geometry.hpp"
 #include "place/global_placer.hpp"
 #include "place/model.hpp"
@@ -82,12 +80,12 @@ struct ShardStat {
   double hpwl_um = 0.0;        ///< shard-model HPWL (0 when fell_back)
   double overflow = 0.0;
   int iterations = 0;
-  /// Nested place.solve early-stop inside this shard's solve (policy
-  /// place_early_stop), recorded as a "place.solve" degradation.
+  /// Nested place.solve early-stop inside this shard's solve, recorded as a
+  /// "place.solve" degradation.
   std::string degrade_code;
-  /// Set when the shard solve failed outright (structured error, allocation
+  /// Set when the shard solve failed outright (injected error, allocation
   /// failure, or a non-finite result) and the shard fell back to its
-  /// cluster-induced seed (policy shard_fallback_seed).
+  /// cluster-induced seed.
   std::string failure_code;
   bool fell_back = false;
 };
@@ -105,7 +103,7 @@ struct ShardedPlaceResult {
 ///   1. slice the model into per-shard sub-problems (flat CSR arrays carved
 ///      from one arena; boundary pins become fixed terminals at their seed
 ///      position clamped into the shard region — the region crossing),
-///   2. solve every shard concurrently (GlobalPlacer::try_run_incremental
+///   2. solve every shard concurrently (GlobalPlacer::run_incremental
 ///      from the shard's slice of `seed`, per-shard scratch, deterministic
 ///      per-shard solver seeds),
 ///   3. merge the shard placements and run a bounded global incremental
@@ -114,17 +112,15 @@ struct ShardedPlaceResult {
 /// `shard_of_object` maps every flat-model object to its shard (movables) or
 /// -1 (fixed objects and unassigned movables; the latter keep their seed
 /// positions and act as terminals). Fault site "place.shard" (key = shard
-/// index) forces individual shard failures; a failed shard falls back to its
-/// seed when `policy.shard_fallback_seed`, otherwise the first failure (in
-/// shard order) is returned as the flow error. Degradations and the
+/// index) forces individual shard failures; a failed shard, including one
+/// that runs out of memory, falls back to its seed. Degradations and the
 /// `place.shard` flight-recorder series are emitted post-merge in shard
 /// order, so degraded runs stay bit-identical across thread counts.
-[[nodiscard]] fault::Expected<ShardedPlaceResult, fault::FlowError>
-try_place_sharded(const PlaceModel& flat, const Placement& seed,
-                  const std::vector<std::int32_t>& shard_of_object,
-                  const RegionPartition& partition,
-                  const ShardedOptions& sharded,
-                  const GlobalPlacerOptions& placer,
-                  const fault::DegradePolicy& policy);
+/// Allocation failure in the stitch throws std::bad_alloc.
+ShardedPlaceResult place_sharded(
+    const PlaceModel& flat, const Placement& seed,
+    const std::vector<std::int32_t>& shard_of_object,
+    const RegionPartition& partition, const ShardedOptions& sharded,
+    const GlobalPlacerOptions& placer);
 
 }  // namespace ppacd::place

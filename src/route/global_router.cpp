@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include "util/assert.hpp"
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <new>
-#include <thread>
 
 #include "exec/exec.hpp"
+#include "fault/fault.hpp"
 #include "observe/observe.hpp"
 #include "route/steiner.hpp"
 #include "telemetry/telemetry.hpp"
@@ -32,6 +31,10 @@ constexpr std::size_t kRerouteBatch = 8;
 
 /// Nets per parallel chunk inside a batch / topology build.
 constexpr std::size_t kNetGrain = 4;
+
+/// Serial retries of a net whose `route.maze` fault fired, each attempt
+/// re-consulting the plan, before the net is left unrouted.
+constexpr int kRouteRetries = 2;
 
 }  // namespace
 
@@ -364,18 +367,7 @@ void GlobalRouter::route_maze(GridPoint a, GridPoint b,
   }
 }
 
-fault::Expected<RouteResult, fault::FlowError> GlobalRouter::try_run(
-    const fault::DegradePolicy& policy) {
-  try {
-    return run_impl(policy);
-  } catch (const std::bad_alloc&) {
-    return fault::Unexpected<fault::FlowError>(
-        fault::make_error("route.maze", fault::FaultKind::kAlloc));
-  }
-}
-
-fault::Expected<RouteResult, fault::FlowError> GlobalRouter::run_impl(
-    const fault::DegradePolicy& policy) {
+RouteResult GlobalRouter::run() {
   const netlist::Netlist& nl = *nl_;
 
   // One scratch slot per worker lane; the virtual rip-up tables address the
@@ -584,13 +576,9 @@ fault::Expected<RouteResult, fault::FlowError> GlobalRouter::run_impl(
       if (!net_failed[i]) continue;
       NetRoute& route = routes[i];
       bool routed = false;
-      for (int attempt = 1; attempt <= policy.route_retries; ++attempt) {
-        if (policy.route_backoff_ms > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(policy.route_backoff_ms * attempt));
-        }
+      for (int attempt = 1; attempt <= kRouteRetries; ++attempt) {
         if (fault::trigger("route.maze",
-                       static_cast<std::uint64_t>(route.net.value()),
+                           static_cast<std::uint64_t>(route.net.value()),
                            static_cast<std::uint32_t>(attempt))) {
           continue;  // still failing on this attempt
         }

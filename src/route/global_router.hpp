@@ -25,8 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "fault/expected.hpp"
-#include "fault/fault.hpp"
 #include "geom/geometry.hpp"
 #include "netlist/netlist.hpp"
 #include "route/bucket_queue.hpp"
@@ -86,17 +84,11 @@ class GlobalRouter {
                const geom::Rect& core, const RouteOptions& options);
 
   /// Routes everything. Per-net failures at the `route.maze` site are
-  /// retried `policy.route_retries` times (with `policy.route_backoff_ms`
-  /// backoff scaled by attempt) and then dropped into a partial result — see
-  /// RouteResult::failed_nets; allocation failure returns a structured
-  /// `alloc-failure` error.
-  [[nodiscard]] fault::Expected<RouteResult, fault::FlowError> try_run(
-      const fault::DegradePolicy& policy);
+  /// retried serially twice and then dropped into a partial result — see
+  /// RouteResult::failed_nets; allocation failure throws std::bad_alloc.
+  RouteResult run();
 
  private:
-  fault::Expected<RouteResult, fault::FlowError> run_impl(
-      const fault::DegradePolicy& policy);
-
   struct GridPoint {
     int x = 0;
     int y = 0;

@@ -333,7 +333,7 @@ void Sta::propagate_requireds() {
   }
 }
 
-void Sta::run() {
+void Sta::analyze() {
   build_graph();
   propagate_arrivals();
   propagate_requireds();
@@ -384,27 +384,18 @@ fault::Expected<void, fault::FlowError> Sta::try_run() {
       case fault::FaultKind::kPoison:
         // Poison the propagated metrics, then let the non-finite check
         // below turn them into a structured error.
-        run();
+        analyze();
         wns_ps_ = fault::poison_value();
         tns_ns_ = fault::poison_value();
         break;
-      case fault::FaultKind::kAlloc:
-        // Exercise the real catch path below.
-        try {
-          throw std::bad_alloc();
-        } catch (const std::bad_alloc&) {
-          ran_ = false;
-          return fault::Unexpected<fault::FlowError>(
-              fault::make_error("sta.arrival", *kind));
-        }
-      default:
+      default:  // error / timeout / alloc
         ran_ = false;
         return fault::Unexpected<fault::FlowError>(
             fault::make_error("sta.arrival", *kind));
     }
   } else {
     try {
-      run();
+      analyze();
     } catch (const std::bad_alloc&) {
       ran_ = false;
       return fault::Unexpected<fault::FlowError>(

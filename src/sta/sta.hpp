@@ -54,21 +54,17 @@ struct StaOptions {
   bool observe_stream = false;
 };
 
-/// Static timing engine. Construct, then call run(); queries are valid until
-/// the netlist changes.
+/// Static timing engine. Construct, then call try_run(); queries are valid
+/// after it succeeds and until the netlist changes.
 class Sta {
  public:
   Sta(const netlist::Netlist& netlist, const StaOptions& options);
 
-  /// Propagates arrivals and requireds. Must be called before queries.
-  /// Asserts on failure; prefer try_run() in fault-tolerant callers.
-  void run();
-
-  /// Fallible form of run(): returns a structured error instead of aborting
-  /// when the `sta.arrival` fault site fires, the propagated WNS/TNS come
-  /// out non-finite, or allocation fails. On error the engine stays
-  /// un-run (queries are invalid) and the caller decides the degradation
-  /// (the flow falls back to HPWL-only cost; see fault::DegradePolicy).
+  /// Propagates arrivals and requireds. Must succeed before queries.
+  /// Returns a structured error when the `sta.arrival` fault site fires,
+  /// the propagated WNS/TNS come out non-finite, or allocation fails. On
+  /// error the engine stays un-run (queries are invalid) and the caller
+  /// decides the degradation (the flow falls back to HPWL-only cost).
   [[nodiscard]] fault::Expected<void, fault::FlowError> try_run();
 
   // --- Queries ---------------------------------------------------------------
@@ -98,6 +94,8 @@ class Sta {
  private:
   geom::Point pin_position(netlist::PinId pin) const;
   double clock_arrival_of(netlist::CellId cell) const;
+  /// The analysis behind try_run(): graph, arrivals, requireds, metrics.
+  void analyze();
   void build_graph();
   void propagate_arrivals();
   void propagate_requireds();

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "exec/exec.hpp"
+#include "fault/fault.hpp"
 #include "observe/observe.hpp"
 #include "place/floorplan.hpp"
 #include "telemetry/telemetry.hpp"
@@ -121,14 +122,15 @@ ShapeCandidate score_virtual_die(netlist::Netlist& virtual_design,
   const std::vector<geom::Point>& positions = positions_scratch;
 
   route::GlobalRouter router(virtual_design, positions, fp.core, options.router);
-  auto routed_or = router.try_run(fault::DegradePolicy{});
-  if (!routed_or.has_value()) {
+  route::RouteResult routed;
+  try {
+    routed = router.run();
+  } catch (const std::bad_alloc&) {
     // Nested routing failure (e.g. injected alloc): fail this candidate
     // instead of the whole sweep.
     candidate.total_cost = std::numeric_limits<double>::infinity();
     return candidate;
   }
-  const route::RouteResult routed = std::move(routed_or).value();
 
   // Eq. 4: average net HPWL normalized by the virtual die half-perimeter.
   double hpwl_sum = 0.0;
@@ -167,7 +169,7 @@ VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options)
 
   // Parallel across candidates; each lane copies the sub-netlist once and
   // reuses it for every candidate it evaluates (only ports differ per shape).
-  // When nested under the cluster-parallel loop in try_select_cluster_shapes
+  // When nested under the cluster-parallel loop in select_cluster_shapes
   // the chunks run inline on the worker, so this costs one copy per cluster.
   struct LaneScratch {
     std::optional<netlist::Netlist> nl;
@@ -210,16 +212,6 @@ VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options)
   return result;
 }
 
-fault::Expected<VprResult, fault::FlowError> try_run_vpr(
-    const netlist::Netlist& subnetlist, const VprOptions& options) {
-  try {
-    return run_vpr(subnetlist, options);
-  } catch (const std::bad_alloc&) {
-    return fault::Unexpected<fault::FlowError>(
-        fault::make_error("vpr.shape_eval", fault::FaultKind::kAlloc));
-  }
-}
-
 namespace {
 
 /// Per-cluster outcome collected inside the parallel shaping loop and
@@ -228,7 +220,6 @@ namespace {
 struct ClusterOutcome {
   bool ml_fell_back = false;      ///< predictor failed, exact V-P&R used
   bool shape_defaulted = false;   ///< sweep failed, default shape kept
-  bool fatal = false;             ///< policy forbade the fallback
   fault::FlowError ml_error;
   fault::FlowError shape_error;
 };
@@ -241,10 +232,9 @@ std::string cluster_detail(cluster::ClusterId ci) {
 
 }  // namespace
 
-fault::Expected<ShapeSelectionStats, fault::FlowError> try_select_cluster_shapes(
+ShapeSelectionStats select_cluster_shapes(
     const netlist::Netlist& nl, cluster::ClusteredNetlist& clustered,
-    const VprOptions& options, const ShapeCostPredictor* predictor,
-    const fault::DegradePolicy& policy) {
+    const VprOptions& options, const ShapeCostPredictor* predictor) {
   ShapeSelectionStats stats;
   const auto shapes = candidate_shapes(options);
 
@@ -287,7 +277,7 @@ fault::Expected<ShapeSelectionStats, fault::FlowError> try_select_cluster_shapes
     if (predictor != nullptr) {
       // Fault site `ml.predict`, keyed by eligible-cluster index. A failed,
       // throwing, or out-of-distribution prediction falls back to exact
-      // V-P&R (the paper's own fallback) under policy.ml_fallback_to_vpr.
+      // V-P&R (the paper's own fallback).
       std::vector<double> predicted;
       bool ml_ok = true;
       if (const auto kind = fault::trigger("ml.predict", k)) {
@@ -336,61 +326,53 @@ fault::Expected<ShapeSelectionStats, fault::FlowError> try_select_cluster_shapes
             std::min_element(predicted.begin(), predicted.end()) -
             predicted.begin());
         PPACD_COUNT("vpr.shapes.ml_predicted", predicted.size());
-      } else if (policy.ml_fallback_to_vpr) {
+      } else {
         outcome.ml_fell_back = true;
         need_exact = true;
-      } else {
-        outcome.fatal = true;
-        return;
       }
     }
     if (need_exact) {
-      auto vpr = try_run_vpr(sub.netlist, options);
-      if (vpr.has_value()) {
-        best_index = vpr.value().best_index;
-        runs_per_cluster[k] =
-            static_cast<double>(vpr.value().candidates.size());
-        if (observing) {
-          const auto& candidates = vpr.value().candidates;
-          for (std::size_t i = 0; i < candidates.size(); ++i) {
-            observe::recorder().record(
-                observe::Stream::kVprCandidate, obs_series,
-                static_cast<std::int64_t>(k), static_cast<std::int64_t>(i),
-                {candidates[i].total_cost, candidates[i].hpwl_cost,
-                 candidates[i].congestion_cost,
-                 i == best_index ? 1.0 : 0.0});
-          }
+      VprResult vpr;
+      try {
+        vpr = run_vpr(sub.netlist, options);
+      } catch (const std::bad_alloc&) {
+        // Allocation failure anywhere in this cluster's sweep fails the
+        // sweep, not the flow: the cluster keeps the default shape below.
+        outcome.shape_error =
+            fault::make_error("vpr.shape_eval", fault::FaultKind::kAlloc);
+      }
+      best_index = vpr.best_index;
+      runs_per_cluster[k] = static_cast<double>(vpr.candidates.size());
+      if (observing) {
+        for (std::size_t i = 0; i < vpr.candidates.size(); ++i) {
+          const ShapeCandidate& candidate = vpr.candidates[i];
+          observe::recorder().record(
+              observe::Stream::kVprCandidate, obs_series,
+              static_cast<std::int64_t>(k), static_cast<std::int64_t>(i),
+              {candidate.total_cost, candidate.hpwl_cost,
+               candidate.congestion_cost, i == best_index ? 1.0 : 0.0});
         }
-        if (best_index == kInvalidShapeIndex) {
-          outcome.shape_error.code = "vpr-shape-eval-failed";
-          outcome.shape_error.site = "vpr.shape_eval";
-          outcome.shape_error.message = "no finite-cost shape candidate";
-        }
-      } else {
-        outcome.shape_error = std::move(vpr).error();
+      }
+      if (best_index == kInvalidShapeIndex &&
+          outcome.shape_error.code.empty()) {
+        outcome.shape_error.code = "vpr-shape-eval-failed";
+        outcome.shape_error.site = "vpr.shape_eval";
+        outcome.shape_error.message = "no finite-cost shape candidate";
       }
     }
     if (best_index != kInvalidShapeIndex) {
       cluster::set_cluster_shape(clustered, ci, shapes[best_index]);
-    } else if (policy.shape_fallback_default) {
+    } else {
       // Keep the default shape (AR 1.0, utilization 0.90) for this cluster.
       outcome.shape_defaulted = true;
       cluster::set_cluster_shape(clustered, ci, cluster::ClusterShape{});
-    } else {
-      outcome.fatal = true;
     }
   });
   // Ordered accumulation and degradation recording: independent of which
   // lane ran which cluster.
   for (const double runs : runs_per_cluster) stats.vpr_runs += runs;
   for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    ClusterOutcome& outcome = outcomes[k];
-    if (outcome.fatal) {
-      fault::FlowError error = outcome.shape_error.code.empty()
-                                   ? std::move(outcome.ml_error)
-                                   : std::move(outcome.shape_error);
-      return fault::Unexpected<fault::FlowError>(std::move(error));
-    }
+    const ClusterOutcome& outcome = outcomes[k];
     if (outcome.ml_fell_back) {
       ++stats.ml_fallbacks;
       fault::record_degradation({"ml.predict", outcome.ml_error.code,

@@ -22,8 +22,6 @@
 #include <vector>
 
 #include "cluster/clustered_netlist.hpp"
-#include "fault/expected.hpp"
-#include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/subnetlist.hpp"
 #include "place/global_placer.hpp"
@@ -90,13 +88,8 @@ ShapeCandidate evaluate_shape(const netlist::Netlist& subnetlist,
 /// Full V-P&R sweep over all candidates for one sub-netlist. Candidates
 /// whose evaluation fails (injected `vpr.shape_eval` fault or non-finite
 /// score) are left at infinite/NaN cost and excluded from best_index.
+/// Allocation failure throws std::bad_alloc.
 VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options);
-
-/// Fallible form of run_vpr: converts allocation failure during the sweep
-/// into a structured `alloc-failure` error instead of propagating
-/// std::bad_alloc.
-[[nodiscard]] fault::Expected<VprResult, fault::FlowError> try_run_vpr(
-    const netlist::Netlist& subnetlist, const VprOptions& options);
 
 /// Paper section 5 future work: L-shaped cluster footprints. Evaluates the
 /// sub-netlist on a virtual die whose bounding box is enlarged so that,
@@ -133,16 +126,13 @@ struct ShapeSelectionStats {
 /// picks the best candidate (ML-accelerated V-P&R). Skipped clusters keep
 /// their default shape.
 ///
-/// Degradation: a predictor that throws, times out, or returns an
-/// out-of-distribution result (wrong count / non-finite costs) falls back
-/// to exact V-P&R when `policy.ml_fallback_to_vpr`; a sweep with no finite
-/// candidate keeps the default shape when `policy.shape_fallback_default`.
-/// Each fallback is recorded via fault::record_degradation. With the
-/// corresponding policy disabled the failure propagates as a FlowError.
-[[nodiscard]] fault::Expected<ShapeSelectionStats, fault::FlowError>
-try_select_cluster_shapes(
+/// Degradation, always on: a predictor that throws, times out, or returns
+/// an out-of-distribution result (wrong count / non-finite costs) falls
+/// back to exact V-P&R; a sweep with no finite candidate, or one that runs
+/// out of memory, keeps the default shape. Each fallback is recorded via
+/// fault::record_degradation.
+ShapeSelectionStats select_cluster_shapes(
     const netlist::Netlist& netlist, cluster::ClusteredNetlist& clustered,
-    const VprOptions& options, const ShapeCostPredictor* predictor,
-    const fault::DegradePolicy& policy);
+    const VprOptions& options, const ShapeCostPredictor* predictor);
 
 }  // namespace ppacd::vpr

@@ -357,9 +357,7 @@ struct RoutedDesign {
     const place::PlaceModel model = place::make_place_model(nl, fp);
     const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
     positions = place::cell_positions(nl, gp.placement);
-    routed = route::GlobalRouter(nl, positions, fp.core, options)
-                 .try_run(fault::DegradePolicy{})
-                 .value();
+    routed = route::GlobalRouter(nl, positions, fp.core, options).run();
   }
   static netlist::Netlist make() {
     gen::DesignSpec spec = gen::design_spec("aes");

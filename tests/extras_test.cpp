@@ -146,14 +146,11 @@ TEST(Router, MazeFallbackNotWorse) {
   tight.v_capacity = 5;
   route::RouteOptions no_maze = tight;
   no_maze.maze_fallback = false;
+  const std::vector<geom::Point>& cells = placed.place.positions;
   const auto with_maze =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), tight)
-          .try_run(fault::DegradePolicy{})
-          .value();
+      route::GlobalRouter(nl, cells, box.rect(), tight).run();
   const auto without =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), no_maze)
-          .try_run(fault::DegradePolicy{})
-          .value();
+      route::GlobalRouter(nl, cells, box.rect(), no_maze).run();
   // Greedy negotiation can tie or wobble slightly; the maze must stay in
   // the same ballpark or better and never blow up.
   EXPECT_LE(with_maze.total_overflow, without.total_overflow * 1.05 + 5.0);
@@ -172,13 +169,9 @@ TEST(Router, SteinerTopologyShortens) {
   route::RouteOptions steiner;
   route::RouteOptions mst;
   mst.use_steiner_topology = false;
-  const auto a =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), steiner)
-          .try_run(fault::DegradePolicy{})
-          .value();
-  const auto b = route::GlobalRouter(nl, placed.place.positions, box.rect(), mst)
-                     .try_run(fault::DegradePolicy{})
-                     .value();
+  const std::vector<geom::Point>& cells = placed.place.positions;
+  const auto a = route::GlobalRouter(nl, cells, box.rect(), steiner).run();
+  const auto b = route::GlobalRouter(nl, cells, box.rect(), mst).run();
   EXPECT_LE(a.wirelength_um, b.wirelength_um * 1.01);
 }
 
@@ -189,7 +182,7 @@ TEST(StaReport, NamesAndStructure) {
   sta::StaOptions options;
   options.clock_period_ps = 100.0;  // far below any path: force violations
   sta::Sta sta(nl, options);
-  sta.run();
+  ASSERT_TRUE(sta.try_run().has_value());
   const std::string report = sta::report_checks(nl, sta, 2);
   EXPECT_NE(report.find("Startpoint:"), std::string::npos);
   EXPECT_NE(report.find("Endpoint:"), std::string::npos);
@@ -304,8 +297,7 @@ TEST(Viz, CongestionPpmHeader) {
   for (const auto& p : placed.place.positions) box.expand(p);
   const auto routed = route::GlobalRouter(nl, placed.place.positions, box.rect(),
                                           route::RouteOptions{})
-                          .try_run(fault::DegradePolicy{})
-                          .value();
+                          .run();
   std::ostringstream out;
   viz::write_congestion_ppm(routed, out);
   const std::string ppm = out.str();

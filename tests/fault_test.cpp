@@ -20,6 +20,7 @@
 #include "gen/designs.hpp"
 #include "gen/generator.hpp"
 #include "netlist/io.hpp"
+#include "route/global_router.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ppacd {
@@ -52,32 +53,43 @@ struct CampaignOutcome {
   std::vector<fault::Degradation> degradations;
 };
 
-/// Runs the full clustered flow + PPA evaluation on a small generated design
-/// under the given plan spec. Small configs keep the campaign fast; V-P&R and
-/// the ML predictor are enabled so every site is reachable.
-CampaignOutcome run_campaign(const std::string& spec,
-                             const fault::DegradePolicy& policy = {},
-                             bool use_ml = true, bool sharded = false) {
-  auto plan = fault::parse_plan(spec);
-  EXPECT_TRUE(plan.has_value()) << spec;
-  fault::set_plan(plan.value());
-
+/// The campaign design: small, so every campaign stays fast.
+netlist::Netlist campaign_design() {
   gen::DesignSpec design = gen::design_spec("aes");
   design.target_cells = 400;
-  netlist::Netlist nl = gen::generate(lib(), design);
+  return gen::generate(lib(), design);
+}
 
+/// The campaign flow: clustered, with exact V-P&R shaping every cluster above
+/// 20 instances.
+flow::FlowOptions campaign_options() {
   flow::FlowOptions options;
   options.clock_period_ps = 550.0;
   options.fc.target_cluster_count = 8;
   options.vpr.min_cluster_instances = 20;
-  options.shape_mode =
-      use_ml ? flow::ShapeMode::kVprMl : flow::ShapeMode::kVpr;
-  const vpr::ShapeCostPredictor predictor = stub_predictor();
-  if (use_ml) options.ml_predictor = &predictor;
-  options.degrade = policy;
-  options.strategy =
-      sharded ? flow::PlaceStrategy::kSharded : flow::PlaceStrategy::kSeeded;
+  options.shape_mode = flow::ShapeMode::kVpr;
   options.sharding.shards = 4;
+  return options;
+}
+
+/// Runs the full clustered flow + PPA evaluation on the campaign design
+/// under the given plan spec. With `use_ml` the stub predictor shapes the
+/// clusters, so the ml.predict site is reachable; `sharded` selects the
+/// sharded placement, where the place.shard site lives.
+CampaignOutcome run_campaign(const std::string& spec, bool use_ml = true,
+                             bool sharded = false) {
+  auto plan = fault::parse_plan(spec);
+  EXPECT_TRUE(plan.has_value()) << spec;
+  fault::set_plan(plan.value());
+
+  netlist::Netlist nl = campaign_design();
+  flow::FlowOptions options = campaign_options();
+  const vpr::ShapeCostPredictor predictor = stub_predictor();
+  if (use_ml) {
+    options.shape_mode = flow::ShapeMode::kVprMl;
+    options.ml_predictor = &predictor;
+  }
+  if (sharded) options.strategy = flow::PlaceStrategy::kSharded;
 
   CampaignOutcome outcome;
   auto result = flow::try_run(nl, options);
@@ -144,9 +156,8 @@ TEST_F(FaultTest, CampaignEverySiteEveryKindDegradesGracefully) {
       // inside the sharded flow.
       const bool use_ml = site != "vpr.shape_eval";
       const bool sharded = site == "place.shard";
-      const CampaignOutcome outcome =
-          run_campaign(spec, fault::DegradePolicy{}, use_ml, sharded);
-      // Default policies absorb every unconditional single-site fault: the
+      const CampaignOutcome outcome = run_campaign(spec, use_ml, sharded);
+      // The fallbacks absorb every unconditional single-site fault: the
       // flow must complete, with the fallback on record and finite metrics.
       ASSERT_TRUE(outcome.ok)
           << spec << " -> " << outcome.error.code << ": "
@@ -175,20 +186,49 @@ TEST_F(FaultTest, CampaignTransientFaultsAcrossSites) {
   EXPECT_FALSE(outcome.degradations.empty());
 }
 
+/// Records in `degradations` with this site, error code and fallback.
+std::size_t count_records(const std::vector<fault::Degradation>& degradations,
+                          const std::string& site, const std::string& code,
+                          const std::string& fallback) {
+  return static_cast<std::size_t>(std::count_if(
+      degradations.begin(), degradations.end(),
+      [&](const fault::Degradation& d) {
+        return d.site == site && d.error_code == code &&
+               d.fallback == fallback;
+      }));
+}
+
 TEST_F(FaultTest, AllocFaultYieldsStructuredErrorOrDegradation) {
-  // kAlloc simulates std::bad_alloc at the site. Depending on where the
-  // throw lands it is either absorbed by a policy or surfaces as a
-  // structured "alloc-failure" — both acceptable; crashing is not.
+  // kAlloc throws std::bad_alloc at the site. Where a fallback owns the
+  // failing operation the flow completes with that fallback on record;
+  // anywhere else the run fails with a structured "alloc-failure".
   for (const std::string& site : fault::registered_sites()) {
-    if (site == "io.read") continue;
+    if (site == "io.read") continue;  // covered by IoReadFaults below
     fault::reset_log();
     const std::string spec = "seed=17;" + site + "=alloc@1";
+    // As in the main campaign, vpr.shape_eval needs exact V-P&R.
     const CampaignOutcome outcome = run_campaign(
-        spec, fault::DegradePolicy{}, true, site == "place.shard");
-    if (outcome.ok) {
-      expect_finite_metrics(outcome, spec);
+        spec, site != "vpr.shape_eval", site == "place.shard");
+    const std::vector<fault::Degradation>& log = outcome.degradations;
+    if (site == "place.solve" || site == "route.maze") {
+      ASSERT_FALSE(outcome.ok) << spec;
+      EXPECT_EQ(outcome.error.code, "alloc-failure") << spec;
+      continue;
+    }
+    ASSERT_TRUE(outcome.ok) << spec << " -> " << outcome.error.code;
+    expect_finite_metrics(outcome, spec);
+    if (site == "ml.predict") {
+      EXPECT_EQ(count_records(log, site, "alloc-failure", "vpr-exact"), 1u);
+    } else if (site == "place.shard") {
+      EXPECT_GE(count_records(log, site, "alloc-failure", "vpr-seed"), 1u);
+    } else if (site == "sta.arrival") {
+      EXPECT_EQ(count_records(log, site, "alloc-failure", "hpwl-only"), 2u);
+    } else if (site == "vpr.shape_eval") {
+      ASSERT_FALSE(log.empty()) << spec;
+      EXPECT_EQ(count_records(log, site, "alloc-failure", "default-shape"),
+                log.size());
     } else {
-      EXPECT_FALSE(outcome.error.code.empty()) << spec;
+      ADD_FAILURE() << "no expected outcome for site " << site;
     }
   }
 }
@@ -237,34 +277,14 @@ TEST_F(FaultTest, IoLoadMissingFileIsStructuredNotFatal) {
 }
 
 // ---------------------------------------------------------------------------
-// Policy gates: disabling a fallback turns the fault into a FlowError
+// The fallbacks
 // ---------------------------------------------------------------------------
 
-TEST_F(FaultTest, DisabledStaPolicyPropagatesStructuredError) {
-  fault::DegradePolicy policy;
-  policy.sta_fallback_hpwl = false;
-  const CampaignOutcome outcome =
-      run_campaign("seed=5;sta.arrival=error", policy);
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error.code, "sta-arrival-failed");
-  EXPECT_EQ(outcome.error.site, "sta.arrival");
-}
-
-TEST_F(FaultTest, DisabledPlacePolicyPropagatesStructuredError) {
-  fault::DegradePolicy policy;
-  policy.place_early_stop = false;
-  const CampaignOutcome outcome =
-      run_campaign("seed=5;place.solve=error", policy);
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_FALSE(outcome.error.code.empty());
-  EXPECT_EQ(outcome.error.site, "place.solve");
-}
-
 TEST_F(FaultTest, ShardFaultFallsBackToSeedAndRecordsDegradation) {
-  // One shard solve fails; the default policy keeps that shard at its VPR
-  // seed placement and the sharded flow still completes with finite metrics.
-  const CampaignOutcome outcome = run_campaign(
-      "seed=5;place.shard=error@1", fault::DegradePolicy{}, true, true);
+  // One shard solve fails; that shard keeps its VPR seed placement and the
+  // sharded flow still completes with finite metrics.
+  const CampaignOutcome outcome =
+      run_campaign("seed=5;place.shard=error@1", true, true);
   ASSERT_TRUE(outcome.ok) << outcome.error.code << ": "
                           << outcome.error.message;
   bool saw_seed_fallback = false;
@@ -278,16 +298,6 @@ TEST_F(FaultTest, ShardFaultFallsBackToSeedAndRecordsDegradation) {
   expect_finite_metrics(outcome, "shard fallback");
 }
 
-TEST_F(FaultTest, DisabledShardPolicyPropagatesStructuredError) {
-  fault::DegradePolicy policy;
-  policy.shard_fallback_seed = false;
-  const CampaignOutcome outcome =
-      run_campaign("seed=5;place.shard=error", policy, true, true);
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error.code, "place-shard-failed");
-  EXPECT_EQ(outcome.error.site, "place.shard");
-}
-
 TEST_F(FaultTest, MlFallbackRecordsVprExactDegradation) {
   const CampaignOutcome outcome = run_campaign("seed=5;ml.predict=error");
   ASSERT_TRUE(outcome.ok) << outcome.error.code;
@@ -299,6 +309,71 @@ TEST_F(FaultTest, MlFallbackRecordsVprExactDegradation) {
     }
   }
   EXPECT_TRUE(saw_ml_fallback);
+}
+
+TEST_F(FaultTest, MissingPredictorFallsBackToExactVpr) {
+  // ShapeMode::kVprMl without a predictor is an ML failure like any other:
+  // one ml-predictor-missing record, then the placement exact V-P&R gives.
+  netlist::Netlist exact_nl = campaign_design();
+  flow::FlowOptions options = campaign_options();
+  const auto exact = flow::try_run(exact_nl, options);
+  ASSERT_TRUE(exact.has_value()) << exact.error().code;
+  EXPECT_TRUE(fault::degradation_log().empty());
+
+  netlist::Netlist ml_nl = campaign_design();
+  options.shape_mode = flow::ShapeMode::kVprMl;  // ml_predictor stays null
+  const auto ml = flow::try_run(ml_nl, options);
+  ASSERT_TRUE(ml.has_value()) << ml.error().code;
+  const std::vector<fault::Degradation> log = fault::degradation_log();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], (fault::Degradation{"ml.predict", "ml-predictor-missing",
+                                        "vpr-exact",
+                                        "predictor not configured"}));
+
+  const std::vector<geom::Point>& a = exact.value().place.positions;
+  const std::vector<geom::Point>& b = ml.value().place.positions;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].x, b[i].x) << i;
+    ASSERT_EQ(a[i].y, b[i].y) << i;
+  }
+  EXPECT_EQ(exact.value().place.hpwl_um, ml.value().place.hpwl_um);
+}
+
+TEST_F(FaultTest, RouterRetriesEachFailedNetTwice) {
+  // A net whose route.maze fault fires is retried serially with attempts 1
+  // and 2; it stays unrouted only when attempts 0, 1 and 2 all fire.
+  netlist::Netlist nl = campaign_design();
+  flow::FlowOptions options = campaign_options();
+  options.strategy = flow::PlaceStrategy::kFlat;
+  const auto placed = flow::try_run(nl, options);
+  ASSERT_TRUE(placed.has_value()) << placed.error().code;
+  const std::vector<geom::Point>& positions = placed.value().place.positions;
+  geom::BBox box;
+  for (const geom::Point& p : positions) box.expand(p);
+  for (std::size_t po = 0; po < nl.port_count(); ++po) {
+    box.expand(nl.port(static_cast<netlist::PortId>(po)).position);
+  }
+
+  auto plan = fault::parse_plan("seed=19;route.maze=error%0.5");
+  ASSERT_TRUE(plan.has_value());
+  fault::set_plan(plan.value());
+  const route::RouteResult routed =
+      route::GlobalRouter(nl, positions, box.rect(), route::RouteOptions{})
+          .run();
+  int expected = 0;
+  for (std::size_t ni = 0; ni < nl.net_count(); ++ni) {
+    const netlist::Net& net = nl.net(static_cast<netlist::NetId>(ni));
+    if (net.pins.size() < 2 || net.is_clock) continue;  // not routed
+    std::uint32_t fired = 0;
+    for (std::uint32_t attempt = 0; attempt <= 2; ++attempt) {
+      fired += fault::trigger("route.maze", ni, attempt).has_value() ? 1 : 0;
+    }
+    if (fired == 3) ++expected;
+  }
+  fault::clear_plan();
+  EXPECT_GT(expected, 0);
+  EXPECT_EQ(routed.failed_nets, expected);
 }
 
 // ---------------------------------------------------------------------------

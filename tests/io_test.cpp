@@ -38,14 +38,12 @@ TEST(VerilogIo, RoundTripPreservesStructure) {
   write_verilog(original, out);
 
   std::istringstream in(out.str());
-  ParseError error;
-  const auto restored = read_verilog(in, lib(), &error);
-  ASSERT_TRUE(restored.has_value()) << "line " << error.line << ": "
-                                    << error.message;
-  EXPECT_TRUE(restored->validate().empty());
+  const auto restored = try_read_verilog(in, lib());
+  ASSERT_TRUE(restored.has_value()) << restored.error().message;
+  EXPECT_TRUE(restored.value().validate().empty());
 
   const NetlistStats a = compute_stats(original);
-  const NetlistStats b = compute_stats(*restored);
+  const NetlistStats b = compute_stats(restored.value());
   EXPECT_EQ(a.cell_count, b.cell_count);
   EXPECT_EQ(a.net_count, b.net_count);
   EXPECT_EQ(a.port_count, b.port_count);
@@ -58,14 +56,14 @@ TEST(VerilogIo, RoundTripRestoresHierarchy) {
   std::ostringstream out;
   write_verilog(original, out);
   std::istringstream in(out.str());
-  const auto restored = read_verilog(in, lib());
+  const auto restored = try_read_verilog(in, lib());
   ASSERT_TRUE(restored.has_value());
   // Same number of modules carrying cells (empty intermediate modules are
   // recreated implicitly by the path decomposition).
   const NetlistStats a = compute_stats(original);
-  const NetlistStats b = compute_stats(*restored);
+  const NetlistStats b = compute_stats(restored.value());
   EXPECT_EQ(a.max_hierarchy_depth, b.max_hierarchy_depth);
-  EXPECT_TRUE(restored->has_hierarchy());
+  EXPECT_TRUE(restored.value().has_hierarchy());
 }
 
 TEST(VerilogIo, RoundTripRestoresClockNets) {
@@ -73,36 +71,42 @@ TEST(VerilogIo, RoundTripRestoresClockNets) {
   std::ostringstream out;
   write_verilog(original, out);
   std::istringstream in(out.str());
-  const auto restored = read_verilog(in, lib());
+  const auto restored = try_read_verilog(in, lib());
   ASSERT_TRUE(restored.has_value());
+  const Netlist& nl = restored.value();
   std::size_t clock_nets = 0;
-  for (std::size_t ni = 0; ni < restored->net_count(); ++ni) {
-    if (restored->net(static_cast<NetId>(ni)).is_clock) ++clock_nets;
+  for (std::size_t ni = 0; ni < nl.net_count(); ++ni) {
+    if (nl.net(static_cast<NetId>(ni)).is_clock) ++clock_nets;
   }
   EXPECT_EQ(clock_nets, 1u);
 }
 
 TEST(VerilogIo, ReaderRejectsGarbage) {
   std::istringstream in("this is not verilog");
-  ParseError error;
-  EXPECT_FALSE(read_verilog(in, lib(), &error).has_value());
-  EXPECT_FALSE(error.message.empty());
+  const auto restored = try_read_verilog(in, lib());
+  ASSERT_FALSE(restored.has_value());
+  EXPECT_EQ(restored.error().code, "io-parse-failed");
+  EXPECT_EQ(restored.error().site, "io.read");
+  EXPECT_EQ(restored.error().message, "line 1: expected 'module'");
 }
 
 TEST(VerilogIo, ReaderRejectsUnknownCell) {
   std::istringstream in(
       "module t (a);\n  input a;\n  BOGUS_X9 g0 (.A(a));\nendmodule\n");
-  ParseError error;
-  EXPECT_FALSE(read_verilog(in, lib(), &error).has_value());
-  EXPECT_NE(error.message.find("unknown cell"), std::string::npos);
+  const auto restored = try_read_verilog(in, lib());
+  ASSERT_FALSE(restored.has_value());
+  EXPECT_EQ(restored.error().code, "io-parse-failed");
+  EXPECT_EQ(restored.error().message.rfind("line 3: unknown cell", 0), 0u)
+      << restored.error().message;
 }
 
 TEST(VerilogIo, ReaderRejectsUnknownPin) {
   std::istringstream in(
       "module t (a);\n  input a;\n  INV_X1 g0 (.NOPE(a));\nendmodule\n");
-  ParseError error;
-  EXPECT_FALSE(read_verilog(in, lib(), &error).has_value());
-  EXPECT_NE(error.message.find("no pin"), std::string::npos);
+  const auto restored = try_read_verilog(in, lib());
+  ASSERT_FALSE(restored.has_value());
+  EXPECT_EQ(restored.error().code, "io-parse-failed");
+  EXPECT_NE(restored.error().message.find("no pin"), std::string::npos);
 }
 
 TEST(PlacementDef, RoundTrip) {

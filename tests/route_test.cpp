@@ -71,9 +71,7 @@ struct RoutedDesign {
   }
   RouteResult route(const std::vector<geom::Point>& cells,
                     const RouteOptions& options) const {
-    return GlobalRouter(nl, cells, fp.core, options)
-        .try_run(fault::DegradePolicy{})
-        .value();
+    return GlobalRouter(nl, cells, fp.core, options).run();
   }
   netlist::Netlist nl;
   place::Floorplan fp;
@@ -83,7 +81,7 @@ struct RoutedDesign {
 TEST(GlobalRouter, RoutedWirelengthAtLeastGridHpwl) {
   RoutedDesign d;
   GlobalRouter router(d.nl, d.positions, d.fp.core, RouteOptions{});
-  const RouteResult result = router.try_run(fault::DegradePolicy{}).value();
+  const RouteResult result = router.run();
   EXPECT_GT(result.wirelength_um, 0.0);
   EXPECT_GT(result.grid_nx, 1);
   EXPECT_GT(result.grid_ny, 1);
@@ -97,7 +95,7 @@ TEST(GlobalRouter, RoutedWirelengthAtLeastGridHpwl) {
 TEST(GlobalRouter, UtilizationsExposedForEquation5) {
   RoutedDesign d;
   GlobalRouter router(d.nl, d.positions, d.fp.core, RouteOptions{});
-  const RouteResult result = router.try_run(fault::DegradePolicy{}).value();
+  const RouteResult result = router.run();
   ASSERT_FALSE(result.edge_utilization.empty());
   // Top-1% congestion >= top-50% congestion >= 0.
   const double top1 = result.top_congestion(1.0);

@@ -131,7 +131,7 @@ TEST(RegionPartitionTest, CoincidentCentersStillPartition) {
 }
 
 // ---------------------------------------------------------------------------
-// try_place_sharded on a synthetic two-region model
+// place_sharded on a synthetic two-region model
 // ---------------------------------------------------------------------------
 
 struct ShardedFixture {
@@ -191,11 +191,9 @@ TEST(ShardedPlaceTest, SolvesTwoShardsWithFiniteResult) {
   ShardedFixture f = two_region_fixture();
   ShardedOptions sharded;
   sharded.shards = 2;
-  const auto result =
-      try_place_sharded(f.model, f.seed, f.shard_of_object, f.partition,
-                        sharded, GlobalPlacerOptions{}, fault::DegradePolicy{});
-  ASSERT_TRUE(result.has_value()) << result.error().code;
-  const ShardedPlaceResult& out = result.value();
+  const ShardedPlaceResult out =
+      place_sharded(f.model, f.seed, f.shard_of_object, f.partition, sharded,
+                    GlobalPlacerOptions{});
   ASSERT_EQ(out.placement.size(), f.model.objects.size());
   EXPECT_TRUE(std::isfinite(out.hpwl_um));
   EXPECT_GT(out.hpwl_um, 0.0);
@@ -215,11 +213,10 @@ TEST(ShardedPlaceTest, FixedObjectsKeepTheirPositions) {
   ShardedFixture f = two_region_fixture();
   ShardedOptions sharded;
   sharded.shards = 2;
-  const auto result =
-      try_place_sharded(f.model, f.seed, f.shard_of_object, f.partition,
-                        sharded, GlobalPlacerOptions{}, fault::DegradePolicy{});
-  ASSERT_TRUE(result.has_value());
-  const geom::Point& p = result.value().placement.back();
+  const ShardedPlaceResult result =
+      place_sharded(f.model, f.seed, f.shard_of_object, f.partition, sharded,
+                    GlobalPlacerOptions{});
+  const geom::Point& p = result.placement.back();
   EXPECT_EQ(p.x, 50.0);
   EXPECT_EQ(p.y, 95.0);
 }
@@ -230,34 +227,31 @@ TEST(ShardedPlaceTest, UnassignedMovablesKeepSeedWithoutStitch) {
   ShardedOptions sharded;
   sharded.shards = 2;
   sharded.stitch_iterations = 0;  // merge only, so the contract is visible
-  const auto result =
-      try_place_sharded(f.model, f.seed, f.shard_of_object, f.partition,
-                        sharded, GlobalPlacerOptions{}, fault::DegradePolicy{});
-  ASSERT_TRUE(result.has_value());
-  const geom::Point& p = result.value().placement[3];
+  const ShardedPlaceResult result =
+      place_sharded(f.model, f.seed, f.shard_of_object, f.partition, sharded,
+                    GlobalPlacerOptions{});
+  const geom::Point& p = result.placement[3];
   EXPECT_EQ(p.x, f.seed[3].x);
   EXPECT_EQ(p.y, f.seed[3].y);
-  EXPECT_EQ(result.value().shards[f.shard_of_object[2]].movables, 7);
+  EXPECT_EQ(result.shards[f.shard_of_object[2]].movables, 7);
 }
 
 TEST(ShardedPlaceTest, RepeatedRunsBitIdentical) {
   ShardedFixture f = two_region_fixture();
   ShardedOptions sharded;
   sharded.shards = 2;
-  const auto a =
-      try_place_sharded(f.model, f.seed, f.shard_of_object, f.partition,
-                        sharded, GlobalPlacerOptions{}, fault::DegradePolicy{});
-  const auto b =
-      try_place_sharded(f.model, f.seed, f.shard_of_object, f.partition,
-                        sharded, GlobalPlacerOptions{}, fault::DegradePolicy{});
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  ASSERT_EQ(a.value().placement.size(), b.value().placement.size());
-  for (std::size_t i = 0; i < a.value().placement.size(); ++i) {
-    EXPECT_EQ(a.value().placement[i].x, b.value().placement[i].x) << i;
-    EXPECT_EQ(a.value().placement[i].y, b.value().placement[i].y) << i;
+  const ShardedPlaceResult a =
+      place_sharded(f.model, f.seed, f.shard_of_object, f.partition, sharded,
+                    GlobalPlacerOptions{});
+  const ShardedPlaceResult b =
+      place_sharded(f.model, f.seed, f.shard_of_object, f.partition, sharded,
+                    GlobalPlacerOptions{});
+  ASSERT_EQ(a.placement.size(), b.placement.size());
+  for (std::size_t i = 0; i < a.placement.size(); ++i) {
+    EXPECT_EQ(a.placement[i].x, b.placement[i].x) << i;
+    EXPECT_EQ(a.placement[i].y, b.placement[i].y) << i;
   }
-  EXPECT_EQ(a.value().hpwl_um, b.value().hpwl_um);
+  EXPECT_EQ(a.hpwl_um, b.hpwl_um);
 }
 
 TEST(ShardedPlaceTest, ShardFaultFallsBackToSeed) {
@@ -269,12 +263,10 @@ TEST(ShardedPlaceTest, ShardFaultFallsBackToSeed) {
   ShardedOptions sharded;
   sharded.shards = 2;
   sharded.stitch_iterations = 0;
-  const auto result =
-      try_place_sharded(f.model, f.seed, f.shard_of_object, f.partition,
-                        sharded, GlobalPlacerOptions{}, fault::DegradePolicy{});
+  const ShardedPlaceResult out =
+      place_sharded(f.model, f.seed, f.shard_of_object, f.partition, sharded,
+                    GlobalPlacerOptions{});
   fault::clear_plan();
-  ASSERT_TRUE(result.has_value()) << result.error().code;
-  const ShardedPlaceResult& out = result.value();
   // Shard 0 (fault key = shard index, @1 fires its first attempt) fell back:
   // its movables sit exactly at their seed positions.
   ASSERT_TRUE(out.shards[0].fell_back);
@@ -293,25 +285,6 @@ TEST(ShardedPlaceTest, ShardFaultFallsBackToSeed) {
     }
   }
   EXPECT_TRUE(saw);
-  fault::reset_log();
-}
-
-TEST(ShardedPlaceTest, DisabledFallbackPolicyReturnsStructuredError) {
-  ShardedFixture f = two_region_fixture();
-  auto plan = fault::parse_plan("seed=3;place.shard=error");
-  ASSERT_TRUE(plan.has_value());
-  fault::set_plan(plan.value());
-  fault::DegradePolicy policy;
-  policy.shard_fallback_seed = false;
-  ShardedOptions sharded;
-  sharded.shards = 2;
-  const auto result = try_place_sharded(f.model, f.seed, f.shard_of_object,
-                                        f.partition, sharded,
-                                        GlobalPlacerOptions{}, policy);
-  fault::clear_plan();
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error().code, "place-shard-failed");
-  EXPECT_EQ(result.error().site, "place.shard");
   fault::reset_log();
 }
 

@@ -68,7 +68,7 @@ struct Chain {
 TEST(Sta, ChainArrivalMatchesHandComputation) {
   Chain chain(1000.0);
   Sta sta(chain.nl, chain.options);
-  sta.run();
+  ASSERT_TRUE(sta.try_run().has_value());
 
   const double inv_cap = lib().cell(*lib().find("INV_X1")).pins[0].cap_ff;
   const double dff_d_cap = lib().cell(*lib().find("DFF_X1")).pins[0].cap_ff;
@@ -82,7 +82,7 @@ TEST(Sta, ChainArrivalMatchesHandComputation) {
 TEST(Sta, SlackAgainstSetup) {
   Chain chain(1000.0);
   Sta sta(chain.nl, chain.options);
-  sta.run();
+  ASSERT_TRUE(sta.try_run().has_value());
   const auto& dff = lib().cell(*lib().find("DFF_X1"));
   const auto d_pin = chain.nl.cell_pin(chain.d, 0);
   EXPECT_NEAR(sta.slack_ps(d_pin),
@@ -94,7 +94,7 @@ TEST(Sta, SlackAgainstSetup) {
 TEST(Sta, TightClockCreatesNegativeSlack) {
   Chain chain(20.0);  // far below two INV delays + setup
   Sta sta(chain.nl, chain.options);
-  sta.run();
+  ASSERT_TRUE(sta.try_run().has_value());
   EXPECT_LT(sta.wns_ps(), 0.0);
   EXPECT_LT(sta.tns_ns(), 0.0);
   // TNS aggregates the two violating endpoints (D pin and output port).
@@ -104,7 +104,7 @@ TEST(Sta, TightClockCreatesNegativeSlack) {
 TEST(Sta, WorstPathBacktracksThroughChain) {
   Chain chain(20.0);
   Sta sta(chain.nl, chain.options);
-  sta.run();
+  ASSERT_TRUE(sta.try_run().has_value());
   const auto paths = sta.worst_paths(10);
   ASSERT_FALSE(paths.empty());
   const TimingPath& worst = paths.front();
@@ -121,14 +121,14 @@ TEST(Sta, WorstPathBacktracksThroughChain) {
 TEST(Sta, MaxPathsRespected) {
   Chain chain(20.0);
   Sta sta(chain.nl, chain.options);
-  sta.run();
+  ASSERT_TRUE(sta.try_run().has_value());
   EXPECT_LE(sta.worst_paths(1).size(), 1u);
 }
 
 TEST(Sta, PlacementAddsWireDelay) {
   Chain chain(1000.0);
   Sta ideal(chain.nl, chain.options);
-  ideal.run();
+  ASSERT_TRUE(ideal.try_run().has_value());
 
   std::vector<geom::Point> positions(chain.nl.cell_count());
   positions[chain.a.index()] = {0.0, 0.0};
@@ -137,7 +137,7 @@ TEST(Sta, PlacementAddsWireDelay) {
   StaOptions placed_options = chain.options;
   placed_options.cell_positions = &positions;
   Sta placed(chain.nl, placed_options);
-  placed.run();
+  ASSERT_TRUE(placed.try_run().has_value());
 
   const auto d_pin = chain.nl.cell_pin(chain.d, 0);
   EXPECT_GT(placed.arrival_ps(d_pin), ideal.arrival_ps(d_pin));
@@ -155,9 +155,9 @@ TEST(Sta, ClockArrivalShiftsLaunchAndCapture) {
   options.clock_arrivals_ps = &arrivals;
 
   Sta base(chain.nl, chain.options);
-  base.run();
+  ASSERT_TRUE(base.try_run().has_value());
   Sta skewed(chain.nl, options);
-  skewed.run();
+  ASSERT_TRUE(skewed.try_run().has_value());
 
   const auto d_pin = chain.nl.cell_pin(chain.d, 0);
   EXPECT_NEAR(skewed.slack_ps(d_pin), base.slack_ps(d_pin) + 40.0, 1e-9);
@@ -169,7 +169,7 @@ TEST(Sta, ClockArrivalShiftsLaunchAndCapture) {
 TEST(Sta, NetSlackIsDriverSlack) {
   Chain chain(20.0);
   Sta sta(chain.nl, chain.options);
-  sta.run();
+  ASSERT_TRUE(sta.try_run().has_value());
   // Net n_a (id 1) is driven by a's output.
   EXPECT_NEAR(sta.net_slack_ps(netlist::NetId(1)), sta.slack_ps(chain.nl.cell_output_pin(chain.a)),
               1e-12);
@@ -184,7 +184,7 @@ TEST(Sta, GeneratedDesignHasFiniteTiming) {
   StaOptions options;
   options.clock_period_ps = spec.clock_period_ps;
   Sta sta(nl, options);
-  sta.run();
+  ASSERT_TRUE(sta.try_run().has_value());
   EXPECT_FALSE(sta.endpoints().empty());
   EXPECT_TRUE(std::isfinite(sta.wns_ps()));
   EXPECT_TRUE(std::isfinite(sta.tns_ns()));

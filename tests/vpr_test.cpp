@@ -108,16 +108,12 @@ TEST(Vpr, SelectShapesHonoursThreshold) {
   VprOptions options;
   options.min_cluster_instances = 1 << 20;  // nothing qualifies
   const ShapeSelectionStats none =
-      try_select_cluster_shapes(nl, clustered, options, nullptr,
-                                fault::DegradePolicy{})
-          .value();
+      select_cluster_shapes(nl, clustered, options, nullptr);
   EXPECT_EQ(none.clusters_shaped, 0);
 
   options.min_cluster_instances = 40;
   const ShapeSelectionStats some =
-      try_select_cluster_shapes(nl, clustered, options, nullptr,
-                                fault::DegradePolicy{})
-          .value();
+      select_cluster_shapes(nl, clustered, options, nullptr);
   EXPECT_GT(some.clusters_shaped, 0);
   EXPECT_DOUBLE_EQ(some.vpr_runs, some.clusters_shaped * 20.0);
 }
@@ -141,9 +137,7 @@ TEST(Vpr, PredictorShortCircuitsVpr) {
   VprOptions options;
   options.min_cluster_instances = 40;
   const ShapeSelectionStats stats =
-      try_select_cluster_shapes(nl, clustered, options, &predictor,
-                                fault::DegradePolicy{})
-          .value();
+      select_cluster_shapes(nl, clustered, options, &predictor);
   EXPECT_GT(stats.clusters_shaped, 0);
   EXPECT_DOUBLE_EQ(stats.vpr_runs, 0.0);
   for (const cluster::Cluster& c : clustered.clusters) {
