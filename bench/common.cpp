@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "flow/report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/string_utils.hpp"
 #include "util/timer.hpp"
@@ -55,10 +56,13 @@ void write_results(const util::CsvWriter& csv, const std::string& name) {
   } else {
     std::printf("WARNING: could not write %s\n", path.c_str());
   }
-  // Telemetry artifacts for the whole bench run so far: a metric/span summary
-  // and a Chrome trace next to the table. Best-effort -- tables stay valid
-  // even if these fail.
-  telemetry::write_summary("bench_results/" + name + ".report.json", name);
+  // Telemetry artifacts for the whole bench run so far: a run report (spans,
+  // phases, counters) labelled with the table name, and a Chrome trace next
+  // to the table. Best-effort -- tables stay valid even if these fail.
+  flow::RunReportInputs report;
+  report.design = name;
+  report.flow = "bench";
+  flow::write_run_report("bench_results/" + name + ".report.json", report);
   telemetry::write_chrome_trace("bench_results/" + name + ".trace.json");
 }
 

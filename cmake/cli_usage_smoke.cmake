@@ -2,8 +2,9 @@
 # examples/CMakeLists.txt). Every malformed invocation below must exit 1 with
 # a one-line message instead of running some other flow; the invocation
 # shapes of flowbench/run.py (clustered, flat and sharded, on a Verilog
-# netlist) must still exit 0; and under a fault plan, an error no fallback
-# absorbs must exit 3 with its code on stderr.
+# netlist) must still exit 0; under a fault plan, an error no fallback
+# absorbs must exit 3 with its code on stderr; and an artifact path that
+# cannot be written must exit 1 with "cannot write" on stderr.
 #
 # Inputs: -DFLOW_CLI=<path to flow_cli> -DWORK_DIR=<writable directory>
 
@@ -69,9 +70,10 @@ foreach(shape IN ITEMS
   endif()
 endforeach()
 
-# Fault plans: `want_rc` is the exit status, `want_err` a regex stderr must
-# match. --write-congestion routes outside the flow, so its allocation
-# failure skips the artifact instead of aborting the process.
+# Fault plans and unwritable artifacts: `want_rc` is the exit status,
+# `want_err` a regex stderr must match. --write-congestion routes outside the
+# flow, so its allocation failure skips the artifact instead of aborting the
+# process.
 function(expect_fault_run want_rc want_err)
   execute_process(
     COMMAND "${FLOW_CLI}" --verilog "${netlist}" --clock 1500 --place-only
@@ -89,5 +91,13 @@ expect_fault_run(3 "io-read-failed" --fault-plan io.read=error)
 expect_fault_run(0 "write-congestion: alloc-failure"
                  --write-congestion "${WORK_DIR}/cli_usage_smoke.ppm"
                  --fault-plan route.maze=alloc@1)
+
+# Artifact writers: a path under a missing directory cannot be opened.
+set(missing "${WORK_DIR}/cli_usage_smoke_missing_dir")
+file(REMOVE_RECURSE "${missing}")
+foreach(writer IN ITEMS --write-def --write-verilog --write-svg
+                        --write-congestion)
+  expect_fault_run(1 "cannot write" ${writer} "${missing}/artifact")
+endforeach()
 
 message(STATUS "cli usage smoke OK")

@@ -1,9 +1,10 @@
 # Telemetry smoke check (run via `cmake -P` from ctest, see
 # examples/CMakeLists.txt): drives flow_cli end-to-end with --report/--trace
 # on a shrunken design, then validates that the run report carries every flow
-# phase and the per-iteration placer metrics, and that the trace file is a
-# Chrome trace_event document. The flat and sharded placement strategies must
-# report their own placement phase too (flowbench's place_s sums them).
+# phase, the lane count and the per-iteration placer spans, and that the trace
+# file is a Chrome trace_event document. The flat and sharded placement
+# strategies must report their own placement phase too (flowbench's place_s
+# sums them), and, being --place-only runs, no "ppa" block.
 #
 # Inputs: -DFLOW_CLI=<path to flow_cli> -DWORK_DIR=<writable directory>
 
@@ -25,12 +26,13 @@ if(NOT rc EQUAL 0)
 endif()
 
 file(READ "${report}" report_text)
-# Every flow phase plus the placer metrics must be present in the report.
+# Every flow phase plus the placer counter and spans must be present in the
+# report.
 foreach(key
-    "schema_version" "phases" "spans" "metrics" "options" "place" "ppa"
+    "schema_version" "lanes" "phases" "spans" "metrics" "options" "place" "ppa"
     "flow.cluster" "flow.shape" "flow.seed_place" "flow.incremental_place"
     "flow.route" "flow.cts" "flow.sta"
-    "place.gp.iterations" "place.gp.overflow" "place.gp.hpwl")
+    "place.gp.iterations" "place.gp.iter")
   string(FIND "${report_text}" "\"${key}\"" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "report missing \"${key}\":\n${report_text}")
@@ -73,6 +75,11 @@ foreach(strategy IN ITEMS
   string(FIND "${strategy_text}" "\"${phase}\"" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "report of ${flags} missing \"${phase}\":\n${strategy_text}")
+  endif()
+  # --place-only measures no PPA, so the report must not claim any.
+  string(FIND "${strategy_text}" "\"ppa\"" pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR "place-only report of ${flags} has \"ppa\":\n${strategy_text}")
   endif()
 endforeach()
 

@@ -32,10 +32,12 @@
 /// and a --cells, --threads, --shards, --report-paths or --clock value that
 /// is not a non-negative number (0 means "default" for each of them).
 ///
-/// --report writes the telemetry run report (flow config, phase timings,
-/// metric snapshot, PPA outcome, errors/degradations) as JSON; --trace
-/// writes a Chrome trace_event file loadable in chrome://tracing or
-/// https://ui.perfetto.dev.
+/// --report writes the telemetry run report (flow config, lane count, phase
+/// timings, counters, PPA outcome unless --place-only, errors/degradations)
+/// as JSON; --trace writes a Chrome trace_event file loadable in
+/// chrome://tracing or https://ui.perfetto.dev. An output file (--report,
+/// --trace, --observe, --qor, --write-*) that cannot be written exits with
+/// status 1.
 /// --observe enables the flight recorder (src/observe) and writes the
 /// event stream (convergence samples, heatmaps, histograms; schema
 /// ppacd-observe-v1) to FILE (default observe_events.json) — feed it to
@@ -144,6 +146,17 @@ bool parse_choice(const std::string& flag, const char* text,
   std::fprintf(stderr, "%s expects %s, got \"%s\"\n", flag.c_str(),
                expected.c_str(), text);
   return false;
+}
+
+/// Reports an artifact write: "wrote PATH" on stdout when `ok`, otherwise
+/// "cannot write PATH" on stderr. Returns `ok`.
+bool announce_write(const std::string& path, bool ok) {
+  if (ok) {
+    std::printf("wrote %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  }
+  return ok;
 }
 
 bool known_design(const std::string& name) {
@@ -385,29 +398,21 @@ int main(int argc, char** argv) {
     report.flow = args.flow;
     report.options = &options;
     report.place = &result.place;
-    report.ppa = &ppa;
-    if (flow::write_run_report(args.report_json, report)) {
-      std::printf("wrote %s\n", args.report_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", args.report_json.c_str());
+    report.ppa = args.place_only ? nullptr : &ppa;
+    if (!announce_write(args.report_json,
+                        flow::write_run_report(args.report_json, report))) {
       return 1;
     }
   }
-  if (!args.trace_json.empty()) {
-    if (telemetry::write_chrome_trace(args.trace_json)) {
-      std::printf("wrote %s\n", args.trace_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", args.trace_json.c_str());
-      return 1;
-    }
+  if (!args.trace_json.empty() &&
+      !announce_write(args.trace_json,
+                      telemetry::write_chrome_trace(args.trace_json))) {
+    return 1;
   }
-  if (args.observe) {
-    if (observe::write_events(args.observe_path, design_name)) {
-      std::printf("wrote %s\n", args.observe_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", args.observe_path.c_str());
-      return 1;
-    }
+  if (args.observe &&
+      !announce_write(args.observe_path,
+                      observe::write_events(args.observe_path, design_name))) {
+    return 1;
   }
   if (args.qor) {
     std::string qor_path = args.qor_path;
@@ -418,10 +423,8 @@ int main(int argc, char** argv) {
     }
     const std::string flow_label =
         args.sharded ? args.flow + "+sharded" : args.flow;
-    if (flow::write_qor(qor_path, design_name, flow_label, result)) {
-      std::printf("wrote %s\n", qor_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", qor_path.c_str());
+    if (!announce_write(qor_path, flow::write_qor(qor_path, design_name,
+                                                  flow_label, result))) {
       return 1;
     }
   }
@@ -435,26 +438,30 @@ int main(int argc, char** argv) {
   if (!args.write_verilog.empty()) {
     std::ofstream out(args.write_verilog);
     netlist::write_verilog(*design, out);
-    std::printf("wrote %s\n", args.write_verilog.c_str());
+    out.close();
+    if (!announce_write(args.write_verilog, !out.fail())) return 1;
   }
   if (!args.write_def.empty()) {
     std::ofstream out(args.write_def);
     netlist::write_placement_def(*design, result.place.positions, box.rect(), out);
-    std::printf("wrote %s\n", args.write_def.c_str());
+    out.close();
+    if (!announce_write(args.write_def, !out.fail())) return 1;
   }
-  if (!args.write_svg.empty()) {
-    viz::SvgOptions svg;
-    if (viz::write_placement_svg_file(*design, result.place.positions, box.rect(),
-                                      svg, args.write_svg)) {
-      std::printf("wrote %s\n", args.write_svg.c_str());
-    }
+  if (!args.write_svg.empty() &&
+      !announce_write(args.write_svg,
+                      viz::write_placement_svg_file(
+                          *design, result.place.positions, box.rect(),
+                          viz::SvgOptions{}, args.write_svg))) {
+    return 1;
   }
   if (!args.write_congestion.empty()) {
     route::GlobalRouter router(*design, result.place.positions, box.rect(),
                                options.router);
     try {
-      if (viz::write_congestion_ppm_file(router.run(), args.write_congestion)) {
-        std::printf("wrote %s\n", args.write_congestion.c_str());
+      if (!announce_write(args.write_congestion,
+                          viz::write_congestion_ppm_file(
+                              router.run(), args.write_congestion))) {
+        return 1;
       }
     } catch (const std::bad_alloc&) {
       std::fprintf(stderr, "--write-congestion: alloc-failure\n");

@@ -226,7 +226,6 @@ FcResult fc_multilevel_cluster(const netlist::Netlist& nl,
     PPACD_COUNT("cluster.fc.merges", merges);
     const double match_rate =
         static_cast<double>(merges) / static_cast<double>(level.vertex_count);
-    PPACD_HIST("cluster.fc.match_rate", match_rate);
     level_span.attr("merges", merges);
     level_span.attr("match_rate", match_rate);
     if (observing) {
@@ -394,8 +393,6 @@ FcResult fc_multilevel_cluster(const netlist::Netlist& nl,
 
   PPACD_COUNT("scratch.epoch.resets",
               static_cast<std::int64_t>(rating.resets() + seen.resets()));
-  PPACD_GAUGE_SET("cluster.fc.clusters", result.cluster_count);
-  PPACD_GAUGE_SET("cluster.fc.singletons", result.singleton_count);
   fc_span.attr("clusters", result.cluster_count);
   fc_span.attr("levels", result.levels);
   fc_span.attr("singletons", result.singleton_count);

@@ -168,7 +168,6 @@ void configure(Pool& pool, int lanes) {
   }
   pool.lanes.store(lanes, std::memory_order_relaxed);
   pool.owned.store(false, std::memory_order_release);
-  PPACD_GAUGE_SET("exec.pool.size", lanes);
   PPACD_LOG_DEBUG("exec") << "pool configured with " << lanes << " lanes";
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "exec/exec.hpp"
 #include "fault/fault.hpp"
 #include "observe/observe.hpp"
 #include "telemetry/telemetry.hpp"
@@ -127,17 +128,7 @@ Json phases_json(const std::vector<telemetry::SpanRecord>& spans) {
     if (phase.count == 0) phase.order = order++;
     phase.seconds += span.dur_us >= 0.0 ? span.dur_us / 1e6 : 0.0;
     ++phase.count;
-    if (!span.attrs.empty()) {
-      Json attrs = Json::object();
-      for (const telemetry::SpanAttr& attr : span.attrs) {
-        if (attr.is_number) {
-          attrs.set(attr.key, attr.number);
-        } else {
-          attrs.set(attr.key, attr.text);
-        }
-      }
-      phase.attrs = std::move(attrs);
-    }
+    if (!span.attrs.empty()) phase.attrs = telemetry::attrs_json(span.attrs);
   }
   std::vector<const std::pair<const std::string, Phase>*> ordered;
   ordered.reserve(phases.size());
@@ -193,6 +184,7 @@ telemetry::Json run_report_json(const RunReportInputs& inputs) {
   out.set("schema_version", 1);
   out.set("design", inputs.design);
   out.set("flow", inputs.flow);
+  out.set("lanes", exec::thread_count());
   if (inputs.options != nullptr) {
     out.set("options", options_json(*inputs.options));
   }

@@ -889,9 +889,6 @@ PlaceResult GlobalPlacer::optimize(Placement positions, int iterations,
                                  iter, 1, {disp_max});
     }
     PPACD_COUNT("place.gp.iterations", 1);
-    PPACD_GAUGE_SET("place.gp.overflow", overflow);
-    PPACD_GAUGE_SET("place.gp.hpwl", hpwl);
-    PPACD_HIST("place.gp.iter_overflow", overflow);
     iter_span.attr("iter", iter);
     iter_span.attr("overflow", overflow);
     iter_span.attr("hpwl", hpwl);
@@ -909,10 +906,6 @@ PlaceResult GlobalPlacer::optimize(Placement positions, int iterations,
   result.overflow = overflow;
   result.iterations = iter;
   result.degrade_code = std::move(degrade_code);
-  PPACD_GAUGE_SET("alloc.arena.bytes_peak",
-                  static_cast<double>(scratch_->cg_arena.bytes_peak()));
-  PPACD_GAUGE_SET("alloc.arena.reuse_count",
-                  static_cast<double>(scratch_->cg_arena.reuse_count()));
   return result;
 }
 

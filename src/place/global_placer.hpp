@@ -71,8 +71,8 @@ struct GlobalPlacerOptions {
   /// Record one telemetry span per outer iteration ("place.gp.iter", with
   /// overflow/HPWL attributes). Off by default so the hundreds of placer
   /// runs inside V-P&R shape sweeps stay out of the trace; the flow turns
-  /// it on for its top-level placements. Per-iteration gauges are recorded
-  /// regardless (they are plain atomics).
+  /// it on for its top-level placements. The iteration counter is recorded
+  /// regardless.
   bool trace_iterations = false;
   std::uint64_t seed = 1;
 };

@@ -634,7 +634,6 @@ RouteResult GlobalRouter::run() {
       break;
     }
     PPACD_COUNT("route.rrr.rounds", 1);
-    PPACD_HIST("route.rrr.over_edges", over_edges);
 
     // Flag the nets crossing an overflowed edge (pure parallel scan), then
     // reroute them in batches: rip the whole batch out, reroute every net
@@ -758,8 +757,6 @@ RouteResult GlobalRouter::run() {
   std::uint64_t scratch_resets = 0;
   for (const SlotScratch& slot : slots_) scratch_resets += slot.own.resets();
   PPACD_COUNT("scratch.epoch.resets", scratch_resets);
-  PPACD_GAUGE_SET("route.overflow_edges", result.overflow_edges);
-  PPACD_GAUGE_SET("route.wirelength_um", result.wirelength_um);
   PPACD_LOG_DEBUG("route") << nl.name() << ": rWL " << result.wirelength_um
                            << " um, overflow edges " << result.overflow_edges;
   return result;

@@ -372,8 +372,6 @@ void Sta::analyze() {
                                      kSlackBins, 0, std::move(frame));
   }
   PPACD_COUNT("sta.runs", 1);
-  PPACD_GAUGE_SET("sta.wns_ps", wns_ps_);
-  PPACD_GAUGE_SET("sta.tns_ns", tns_ns_);
   PPACD_LOG_DEBUG("sta") << nl_->name() << ": WNS " << wns_ps_ << " ps, TNS "
                          << tns_ns_ << " ns";
 }

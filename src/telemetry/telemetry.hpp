@@ -1,27 +1,27 @@
 /// \file telemetry.hpp
-/// \brief Flow-wide observability: a process-wide metrics registry (counters,
-/// gauges, fixed-bucket histograms) and nesting RAII trace spans.
+/// \brief Flow-wide observability: a process-wide registry of counters and
+/// nesting RAII trace spans.
 ///
 /// Design goals:
-///   * Hot-path friendly: metric handles are resolved once per call site (the
-///     macros cache a reference in a function-local static) and updated with
-///     relaxed atomics; no lock is taken on the increment path.
+///   * Hot-path friendly: counter handles are resolved once per call site
+///     (PPACD_COUNT caches a reference in a function-local static) and
+///     updated with a relaxed atomic; no lock is taken on the increment path.
 ///   * Nesting spans: `TraceSpan` records wall time plus user attributes and
 ///     tracks parent/depth through a thread-local stack, so clustering ->
 ///     per-level coarsening, shaping -> per-cluster V-P&R, and placement ->
-///     per-iteration hierarchies come out as a tree.
-///   * Exportable: spans serialize as a human-readable tree and as Chrome
-///     `trace_event` JSON loadable in chrome://tracing; metrics snapshot to
-///     JSON for the per-run report (see flow/report.hpp).
+///     per-iteration hierarchies come out as a tree. Per-run values (a
+///     level's match rate, an iteration's overflow) are span attributes.
+///   * Exportable: spans serialize as Chrome `trace_event` JSON loadable in
+///     chrome://tracing; spans and counters snapshot to JSON for the per-run
+///     report (see flow/report.hpp).
 ///
-/// Metric naming scheme: `phase.subsystem.name` (e.g. `place.gp.overflow`,
+/// Counter naming scheme: `phase.subsystem.name` (e.g. `place.gp.iterations`,
 /// `cluster.fc.merges`, `route.rrr.rounds`); see DESIGN.md "Observability".
 #pragma once
 // lint:allow-file(raw-thread): metrics registry is cross-thread infra by design
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,72 +47,18 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Last-value metric.
-class Gauge {
- public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Fixed-bucket histogram: `upper_bounds` are inclusive bucket ceilings in
-/// ascending order; one implicit overflow bucket catches everything above the
-/// last bound. Observation is lock-free (one relaxed fetch_add per atomic).
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double value);
-
-  std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// Per-bucket counts; size is upper_bounds().size() + 1 (overflow last).
-  std::vector<std::int64_t> bucket_counts() const;
-  const std::vector<double>& upper_bounds() const { return bounds_; }
-  /// Estimated q-quantile (q in [0, 1]); see percentile_from_buckets().
-  double percentile(double q) const;
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::int64_t>[]> buckets_;
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Default histogram bucket ceilings: one decade ladder, 1e-4 .. 1e6.
-const std::vector<double>& default_histogram_bounds();
-
-/// Estimated q-quantile (q clamped to [0, 1]) from fixed-bucket counts:
-/// `counts` has one entry per bound plus the overflow bucket, as produced by
-/// Histogram::bucket_counts(). Linear interpolation within the target bucket,
-/// with the first bucket treated as [bounds[0], bounds[0]] (its lower edge is
-/// unknown) and the overflow bucket pinned to the last bound. Returns 0.0
-/// when there are no samples.
-double percentile_from_buckets(const std::vector<double>& bounds,
-                               const std::vector<std::int64_t>& counts,
-                               double q);
-
-/// Process-wide registry of named metrics. Registration (first use of a name)
-/// takes a mutex; returned references stay valid for the process lifetime, so
-/// call sites may cache them. reset() zeroes every value but never invalidates
-/// handles.
+/// Process-wide registry of named counters. Registration (first use of a
+/// name) takes a mutex; returned references stay valid for the process
+/// lifetime, so call sites may cache them. reset() zeroes every value but
+/// never invalidates handles.
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  /// `upper_bounds` applies only on first registration of `name` (empty =>
-  /// default_histogram_bounds()).
-  Histogram& histogram(std::string_view name,
-                       const std::vector<double>& upper_bounds = {});
 
-  /// JSON snapshot: {"counters": {...}, "gauges": {...}, "histograms": {...}}.
+  /// JSON snapshot: {"counters": {...}}.
   Json to_json() const;
 
-  /// Zeroes all registered metrics (handles stay valid).
+  /// Zeroes all registered counters (handles stay valid).
   void reset();
 
  private:
@@ -193,8 +139,8 @@ std::vector<SpanRecord> span_snapshot();
 /// (live RAII spans from before the reset are ignored at destruction).
 void reset_spans();
 
-/// Human-readable indented tree of all recorded spans.
-std::string span_tree();
+/// Span attributes as a JSON object {key: number or text}.
+Json attrs_json(const std::vector<SpanAttr>& attrs);
 
 /// All recorded spans as a JSON array of {name, start_us, dur_us, depth,
 /// parent, thread, attrs}.
@@ -207,13 +153,8 @@ Json chrome_trace_json();
 /// Writes chrome_trace_json() to `path`; false on I/O error.
 bool write_chrome_trace(const std::string& path);
 
-/// Generic artifact: {"label": ..., "spans": [...], "metrics": {...}}.
-/// Used by the bench harness; the flow CLI writes the richer run report.
-Json summary_json(std::string_view label);
-bool write_summary(const std::string& path, std::string_view label);
-
 // ---------------------------------------------------------------------------
-// Metric macros
+// Counter macro
 // ---------------------------------------------------------------------------
 
 #define PPACD_COUNT(name, delta)                                      \
@@ -221,18 +162,6 @@ bool write_summary(const std::string& path, std::string_view label);
     static ::ppacd::telemetry::Counter& ppacd_tm_handle_ =            \
         ::ppacd::telemetry::metrics().counter(name);                  \
     ppacd_tm_handle_.add(static_cast<std::int64_t>(delta));           \
-  } while (0)
-#define PPACD_GAUGE_SET(name, value)                                  \
-  do {                                                                \
-    static ::ppacd::telemetry::Gauge& ppacd_tm_handle_ =              \
-        ::ppacd::telemetry::metrics().gauge(name);                    \
-    ppacd_tm_handle_.set(static_cast<double>(value));                 \
-  } while (0)
-#define PPACD_HIST(name, value)                                       \
-  do {                                                                \
-    static ::ppacd::telemetry::Histogram& ppacd_tm_handle_ =          \
-        ::ppacd::telemetry::metrics().histogram(name);                \
-    ppacd_tm_handle_.observe(static_cast<double>(value));             \
   } while (0)
 
 }  // namespace ppacd::telemetry

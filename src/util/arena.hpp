@@ -6,9 +6,8 @@
 /// blocks; `reset()` rewinds the whole arena in O(1). After a reset that
 /// needed more than one block, the chain is coalesced into a single block of
 /// the combined size, so steady-state use settles into zero heap traffic:
-/// every iteration allocates the same spans from the same block. Peak usage
-/// and reuse statistics back the alloc.arena.* telemetry gauges emitted by
-/// the owning kernels.
+/// every iteration allocates the same spans from the same block.
+/// `bytes_peak()` and `reuse_count()` report peak usage and reuse.
 ///
 /// Restricted to trivially-destructible T (the arena never runs
 /// destructors); spans come back zero-initialized so callers can accumulate

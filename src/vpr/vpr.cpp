@@ -202,7 +202,6 @@ VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options)
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < result.candidates.size(); ++i) {
     const ShapeCandidate& candidate = result.candidates[i];
-    PPACD_HIST("vpr.candidate.total_cost", candidate.total_cost);
     if (std::isfinite(candidate.total_cost) && candidate.total_cost < best) {
       best = candidate.total_cost;
       result.best_index = i;

@@ -4,14 +4,16 @@
 /// produce bit-identical results with 1 thread and with 8, on more than one
 /// design and through every placement strategy.
 ///
-/// Gauges are last-write metrics and thus legitimately racy under parallel
-/// writers; the comparisons below stick to placements, PPA numbers, and
-/// deterministic counters.
+/// The comparisons cover placements, PPA numbers, and the run's metric
+/// snapshot. Every counter but `exec.steal.count` (chunks a lane claimed
+/// from another lane, timing dependent by design; DESIGN.md §10) must read
+/// the same at any lane count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "exec/exec.hpp"
@@ -79,6 +81,7 @@ struct FlowSnapshot {
   double clock_skew_ps = 0.0;
   int route_overflow_edges = 0;
   std::int64_t shapes_evaluated = 0;  // deterministic counter
+  std::string metrics;  ///< metric snapshot without exec.steal.count
 };
 
 void expect_identical(const FlowSnapshot& serial, const FlowSnapshot& parallel) {
@@ -97,15 +100,32 @@ void expect_identical(const FlowSnapshot& serial, const FlowSnapshot& parallel) 
   EXPECT_EQ(serial.clock_skew_ps, parallel.clock_skew_ps);
   EXPECT_EQ(serial.route_overflow_edges, parallel.route_overflow_edges);
   EXPECT_EQ(serial.shapes_evaluated, parallel.shapes_evaluated);
+  EXPECT_EQ(serial.metrics, parallel.metrics);
+}
+
+/// The process metric snapshot as JSON text, minus exec.steal.count.
+std::string lane_independent_metrics() {
+  const telemetry::Json snapshot = telemetry::metrics().to_json();
+  telemetry::Json kept = telemetry::Json::object();
+  for (const auto& [kind, values] : snapshot.members()) {
+    telemetry::Json group = telemetry::Json::object();
+    for (const auto& [name, value] : values.members()) {
+      if (name != "exec.steal.count") group.set(name, value);
+    }
+    kept.set(kind, std::move(group));
+  }
+  return kept.dump();
 }
 
 /// Runs one flow configuration at `threads` on a freshly generated design
 /// (try_run mutates the netlist, so every run starts from the generator).
 /// The sharded strategy uses 4 shards; `configure`, when set, edits the
-/// options last.
+/// options last. Metrics are reset before the pool is sized, so the snapshot
+/// holds everything the run records, as a flow_cli report does.
 FlowSnapshot run_at(int threads, const char* design, int cells,
                     PlaceStrategy strategy, bool enable_vpr,
                     void (*configure)(FlowOptions&) = nullptr) {
+  telemetry::metrics().reset();
   exec::set_thread_count(threads);
   gen::DesignSpec spec = gen::design_spec(design);
   spec.target_cells = cells;
@@ -119,7 +139,6 @@ FlowSnapshot run_at(int threads, const char* design, int cells,
   options.sharding.shards = 4;
   if (configure != nullptr) configure(options);
 
-  telemetry::metrics().reset();
   const FlowResult result = try_run(nl, options).value();
   const PpaOutcome ppa =
       try_evaluate_ppa(nl, result.place.positions, options).value();
@@ -137,6 +156,7 @@ FlowSnapshot run_at(int threads, const char* design, int cells,
   snap.route_overflow_edges = ppa.route_overflow_edges;
   snap.shapes_evaluated =
       telemetry::metrics().counter("vpr.shapes.evaluated").value();
+  snap.metrics = lane_independent_metrics();
   return snap;
 }
 
